@@ -5,9 +5,7 @@ verify (check the design property of a point file), geom (geometric
 quality), table (CSV summary over a directory of stored designs).
 
 Exit codes: 0 success or verification pass, 1 verification fail,
-2 input or usage error.  The environment variable SPHDESIGN_THREADS is
-accepted as a worker cap; every computation is reduced in a fixed
-order, so results do not depend on it.
+2 input or usage error.
 """
 
 import argparse
@@ -24,14 +22,6 @@ from .specfun import dim_poly
 V_FMT = "%.1e"
 ANGLE_FMT = "%.4f"
 RHO_FMT = "%.2f"
-
-
-def _threads():
-    raw = os.environ.get("SPHDESIGN_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
 
 
 def cmd_bounds(args):
@@ -69,7 +59,7 @@ def cmd_verify(args):
     X = read_pointset(args.file)
     report = quadrature.verify_design(X, args.t, tolerance=args.tol)
     if args.json:
-        print(json.dumps(report.to_dict()))
+        print(json.dumps(report.to_dict(), allow_nan=False))
     else:
         verdict = "PASS" if report.is_design else "FAIL"
         print("%s t=%d exactness_degree=%d max_abs_weyl=%s V1=%s V2=%s V3=%s"
@@ -159,7 +149,9 @@ def build_parser():
 
     ge = sub.add_parser("geom", help="separation, mesh norm, mesh ratio")
     ge.add_argument("file")
-    ge.add_argument("--accuracy", type=float, default=1e-4)
+    ge.add_argument("--accuracy", type=float, default=1e-4,
+                    help="accepted for compatibility (minimum 1e-8); the "
+                         "mesh norm is computed exactly")
     ge.set_defaults(func=cmd_geom)
 
     tb = sub.add_parser("table", help="CSV summary over stored designs")
@@ -173,7 +165,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _threads()
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

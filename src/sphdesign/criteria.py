@@ -18,8 +18,8 @@ import numpy as np
 
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import PointSet, ParamVector, _free_slots, param_jacobian_point, \
-    points_to_param, param_to_points
+from .pointset import PointSet, ParamVector, _free_slots, _require_normalized, \
+    param_jacobian_point, param_to_points
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -295,7 +295,7 @@ def weyl_jacobian(X, t):
     """
     if X.d != 2:
         raise InvalidDimensionError("Weyl Jacobians require d = 2")
-    p = points_to_param(X)
+    _require_normalized(X)
     reps = X.coords.shape[0]
     d1, d2 = specfun.sph_harmonics_s2_jacobian(t, X.coords, include_degree0=False)
     if X.symmetric:

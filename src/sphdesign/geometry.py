@@ -1,25 +1,37 @@
 """Geometric quality metrics: separation, mesh norm, mesh ratio,
 inner-product multiset, and Riesz energy.
 
-The mesh norm (covering radius) is computed by certified branch and
-bound.  The field f(c) = min_j dist(c, x_j) is 1-Lipschitz in the
-geodesic metric, so over a spherical cap of radius r centred at c its
-supremum is at most f(c) + r.  Caps whose bound cannot beat the best
-value found are discarded; the rest are split through the tangent
-plane, where the exponential map does not increase distances, so the
-child caps rigorously cover the parent.
+The mesh norm (covering radius) h is the largest geodesic distance from
+a point of the sphere to its nearest design point, the maximum of the
+field f(c) = min_j dist(c, x_j).  It has a closed form in three cases:
+
+- All points in an open hemisphere (the origin lies outside the convex
+  hull): with p the point of the hull nearest the origin, f is largest
+  at -p/|p| (minimax over the hull).
+- Otherwise, points spanning a proper linear subspace: the origin lies
+  in their hull, so f <= pi/2 everywhere, with equality on the normal
+  directions of the subspace.  This includes N <= d+1 points with the
+  origin in their hull.
+- Otherwise the spherical Voronoi vertices are the outward unit normals
+  of the convex-hull facets (Brown, Voronoi diagrams from convex hulls,
+  IPL 1979), and h is the largest facet cap radius.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import nnls
+from scipy.spatial import ConvexHull, QhullError
 
 from .errors import (InfiniteEnergyError, InvalidParameterError,
                      UndefinedMetricError)
 from .summation import comp_sum
 
-_MAX_CELLS = 4000000
-_MAX_ROUNDS = 60
+# Distances below this count as zero: of the origin from the hull, and
+# of the points from a hyperplane through the origin.  Either way h is
+# then pi/2 to within this much, and qhull is never given a set flatter
+# than it can resolve.
+_FLAT_TOL = 1e-12
 
 
 def _pairwise_cos(coords):
@@ -46,155 +58,65 @@ def _min_dist_field(centers, coords):
     return np.arccos(np.max(g, axis=1))
 
 
-def _cap_radius(pitch, w):
-    """Cap radius covering one lattice box of the given pitch in R^w.
+def _nearest_hull_point(coords):
+    """Direction of the point p* of the convex hull nearest the origin.
 
-    Every sphere point inside the box lies within the half-diagonal of
-    the box center b, hence within chord 2*halfdiag of the projected
-    center b/|b|; the geodesic radius follows from the chord.
+    Nonnegative least squares on [coords^T; 1^T] lambda = [0; 1].  With
+    lambda = s mu, sum(mu) = 1, the objective is s^2 |coords^T mu|^2 +
+    (1 - s)^2, so mu is the nearest-point weight vector whatever s is,
+    and the result is p* / (1 + |p*|^2): exactly along p*, zero only
+    when the hull contains the origin.
     """
-    halfdiag = 0.5 * pitch * np.sqrt(w)
-    chord = min(2.0, 2.0 * halfdiag)
-    return 2.0 * np.arcsin(0.5 * chord)
+    N, w = coords.shape
+    A = np.vstack([coords.T, np.ones((1, N))])
+    b = np.zeros(w + 1)
+    b[w] = 1.0
+    lam, _ = nnls(A, b)
+    return coords.T @ lam
 
 
-def _seed_boxes(w, pitch):
-    """Centers of all lattice boxes of the given pitch meeting S^(w-1)."""
-    k = np.arange(int(np.floor(-1.0 / pitch)) - 1, int(np.ceil(1.0 / pitch)) + 1)
-    axes = [(k + 0.5) * pitch] * w
-    mesh = np.meshgrid(*axes, indexing="ij")
-    b = np.stack([m.ravel() for m in mesh], axis=1)
-    return _near_sphere(b, pitch)
+def _hull_mesh_norm(coords):
+    """Largest cap radius over the facets of the convex hull.
 
-
-def _near_sphere(b, pitch):
-    """Keep box centers whose box can intersect the unit sphere."""
-    halfdiag = 0.5 * pitch * np.sqrt(b.shape[1])
-    nb = np.linalg.norm(b, axis=1)
-    keep = np.abs(nb - 1.0) <= halfdiag
-    return b[keep]
-
-
-def _box_children(parents, pitch):
-    """Split each box into 2^w subboxes of half pitch.
-
-    Children of distinct parents are distinct, so no duplicate cells
-    accumulate across rounds.
+    Each facet normal is evaluated against its own vertices only: every
+    other point lies on the inner side of the facet plane.
     """
-    w = parents.shape[1]
-    offs = np.array(np.meshgrid(*([[-0.25 * pitch, 0.25 * pitch]] * w),
-                                indexing="ij")).reshape(w, -1).T
-    children = (parents[:, None, :] + offs[None, :, :]).reshape(-1, w)
-    return _near_sphere(children, 0.5 * pitch)
+    try:
+        hull = ConvexHull(coords)
+    except QhullError as exc:
+        raise UndefinedMetricError("convex hull failed: %s" % exc) from exc
+    normals = hull.equations[:, :-1]
+    g = np.einsum("fk,fjk->fj", normals, coords[hull.simplices]).max(axis=1)
+    np.clip(g, -1.0, 1.0, out=g)
+    return float(np.arccos(np.min(g)))
 
 
-def _polish_center(c, coords, iters=40):
-    """Sharpen a covering-radius candidate by moving it toward the
-    point equidistant from its nearest d+1 neighbours.
+def mesh_norm(X, accuracy=1e-6):
+    """Covering radius h = max over the sphere of f(c) = min_j dist(c, x_j).
 
-    Each candidate is evaluated exactly against the whole set, so the
-    returned value is always a valid lower bound on the mesh norm.
-    """
-    w = coords.shape[1]
-    best_c = c / np.linalg.norm(c)
-    best = float(_min_dist_field(best_c[None, :], coords)[0])
-    cur = best_c
-    for _ in range(iters):
-        g = coords @ cur
-        order = np.argsort(-g)[:w]
-        base = coords[order[0]]
-        diffs = coords[order[1:]] - base
-        # unit vector equidistant from the active points: null space of
-        # the difference matrix, oriented toward the current iterate
-        _, s, vt = np.linalg.svd(diffs, full_matrices=True)
-        rank = int(np.sum(s > 1e-12 * (s[0] if s.size else 1.0)))
-        null = vt[rank:]
-        if null.shape[0] == 0:
-            break
-        y = null.T @ (null @ cur)
-        ny = np.linalg.norm(y)
-        if ny < 1e-14:
-            break
-        y /= ny
-        val = float(_min_dist_field(y[None, :], coords)[0])
-        if val > best + 1e-15:
-            best, best_c = val, y
-            cur = y
-        else:
-            break
-    return best, best_c
+    Exact closed form (module docstring): the nearest hull point when
+    the points lie in an open hemisphere, pi/2 when they span a proper
+    subspace, else the largest convex-hull facet cap.  Every returned h
+    is f evaluated at a sphere point, so up to rounding it is both a
+    lower bound on the mesh norm and equal to it; near-flat sets that
+    get pi/2 are within 1e-12 of it.  accuracy is validated
+    (floor 1e-8) for compatibility; the result does not depend on it.
 
-
-def mesh_norm(X, accuracy=1e-6, max_cells=_MAX_CELLS):
-    """Covering radius with a certified two-sided bracket.
-
-    Branch and bound over ambient lattice boxes meeting the sphere.
-    Each box lies inside a spherical cap around its projected center;
-    the min-distance field f is 1-Lipschitz, so f(center) + cap radius
-    bounds the field over the whole box.  Boxes that cannot beat the
-    best value by more than the requested accuracy are pruned, the
-    rest are split into 2^(d+1) half-pitch boxes.  After every round
-    the best candidates are polished to locally equidistant points,
-    which sharpens the lower bound to near machine precision.
-
-    Returns (h, achieved): the true mesh norm lies in [h, h+achieved].
-    achieved <= accuracy unless the cell budget ran out, in which case
-    the wider, still rigorous bracket is reported.
+    Returns (h, 0.0).
     """
     if accuracy < 1e-8:
         raise InvalidParameterError("accuracy below 1e-8 is not supported")
     coords = X.expanded()
-    w = X.d + 1
-    pitch = 0.25
-    boxes = _seed_boxes(w, pitch)
-    centers = boxes / np.linalg.norm(boxes, axis=1)[:, None]
-    r = _cap_radius(pitch, w)
-    f = _min_dist_field(centers, coords)
-    lower = float(np.max(f))
-    for i in np.argsort(-f)[:8]:
-        val, _ = _polish_center(centers[i], coords)
-        lower = max(lower, val)
-    upper = max(lower, float(np.max(f + r)))
-    chunk = max(1, max_cells // (2 ** w))
-    for _ in range(_MAX_ROUNDS):
-        if upper - lower <= accuracy:
-            break
-        keep = f + r > lower + accuracy
-        if not np.any(keep):
-            upper = lower + accuracy
-            break
-        parents = boxes[keep]
-        if parents.shape[0] * 2 ** w > max_cells:
-            # cell budget exhausted: the bracket stays rigorous, the
-            # requested accuracy is simply not reached
-            upper = max(lower + accuracy, float(np.max(f[keep] + r)))
-            break
-        child_r = _cap_radius(0.5 * pitch, w)
-        bs, fs = [], []
-        for lo in range(0, parents.shape[0], chunk):
-            cb = _box_children(parents[lo:lo + chunk], pitch)
-            cc = cb / np.linalg.norm(cb, axis=1)[:, None]
-            fc = _min_dist_field(cc, coords)
-            if fc.size:
-                m = float(np.max(fc))
-                if m > lower:
-                    lower = m
-            sel = fc + child_r > lower + accuracy
-            bs.append(cb[sel])
-            fs.append(fc[sel])
-        boxes = np.concatenate(bs) if bs else np.empty((0, w))
-        f = np.concatenate(fs) if fs else np.empty(0)
-        pitch *= 0.5
-        r = child_r
-        if f.size == 0:
-            upper = lower + accuracy
-            break
-        centers = boxes / np.linalg.norm(boxes, axis=1)[:, None]
-        for i in np.argsort(-f)[:8]:
-            val, _ = _polish_center(centers[i], coords)
-            lower = max(lower, val)
-        upper = max(lower + accuracy, float(np.max(f + r)))
-    return lower, max(0.0, upper - lower)
+    N, w = coords.shape
+    p = _nearest_hull_point(coords)
+    dist = float(np.linalg.norm(p))
+    if dist > _FLAT_TOL:
+        h = float(_min_dist_field(-p[None, :] / dist, coords)[0])
+    elif N <= w or np.linalg.svd(coords, compute_uv=False)[-1] <= _FLAT_TOL:
+        h = 0.5 * np.pi
+    else:
+        h = _hull_mesh_norm(coords)
+    return h, 0.0
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,10 @@ class PointSet:
                 "coords must be (N, d+1), got shape %r" % (coords.shape,))
         if coords.shape[0] < 1:
             raise InvalidPointError("need at least one point")
+        finite = np.all(np.isfinite(coords), axis=1)
+        if not np.all(finite):
+            raise InvalidPointError(
+                "row %d has a non-finite coordinate" % int(np.argmin(finite)))
         norms = np.linalg.norm(coords, axis=1)
         bad = np.abs(norms - 1.0) > UNIT_TOL
         if np.any(bad):
@@ -317,6 +321,10 @@ def read_pointset(path):
         raise ParseError("header d=%d does not match %d columns"
                          % (header["d"], width))
     coords = np.array([vals for _, vals in rows])
+    finite = np.all(np.isfinite(coords), axis=1)
+    if not np.all(finite):
+        raise InvalidPointError("line %d: non-finite coordinate"
+                                % rows[int(np.argmin(finite))][0])
     norms = np.linalg.norm(coords, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > READ_NORM_TOL:

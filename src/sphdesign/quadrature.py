@@ -41,16 +41,22 @@ class DesignReport:
     exactness_degree: int
 
     def to_dict(self):
+        """Plain dict for JSON; non-finite floats (the d > 2 Weyl
+        fields) become None, since strict JSON has no NaN."""
         return {
             "t_claimed": self.t_claimed,
-            "max_abs_weyl": self.max_abs_weyl,
-            "V1": self.V1,
-            "V2": self.V2,
-            "V3": self.V3,
-            "rTr": self.rTr,
+            "max_abs_weyl": _finite_or_none(self.max_abs_weyl),
+            "V1": _finite_or_none(self.V1),
+            "V2": _finite_or_none(self.V2),
+            "V3": _finite_or_none(self.V3),
+            "rTr": _finite_or_none(self.rTr),
             "is_design": self.is_design,
             "exactness_degree": self.exactness_degree,
         }
+
+
+def _finite_or_none(x):
+    return float(x) if np.isfinite(x) else None
 
 
 def _degree_max_weyl_s2(X, t_max):

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sphdesign
 from sphdesign import polytopes
 from sphdesign.cli import main
 from sphdesign.pointset import read_pointset, write_pointset
@@ -16,6 +19,17 @@ def octa_file(tmp_path):
     path = tmp_path / "octa.txt"
     write_pointset(polytopes.octahedron(), path, t=3)
     return str(path)
+
+
+@pytest.fixture
+def nan_file(tmp_path):
+    path = tmp_path / "nan.txt"
+    path.write_text("# d=2 N=3\n1 0 0\n0 1 0\nnan 0 1\n")
+    return str(path)
+
+
+def _reject_constant(name):
+    raise ValueError("non-standard JSON constant %s" % name)
 
 
 class TestBounds:
@@ -56,6 +70,22 @@ class TestVerify:
         assert blob["exactness_degree"] == 3
         assert blob["max_abs_weyl"] <= 1e-13
 
+    def test_json_is_strict_for_d3(self, tmp_path, capsys):
+        # Weyl sums are S^2 only: their fields are null, not NaN
+        path = tmp_path / "cell24.txt"
+        write_pointset(polytopes.cell24(), path, t=5)
+        assert main(["verify", str(path), "--t", "5", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out,
+                          parse_constant=_reject_constant)
+        assert blob["max_abs_weyl"] is None and blob["rTr"] is None
+        assert blob["is_design"] is True and abs(blob["V3"]) <= 1e-12
+
+    def test_non_finite_file(self, nan_file, capsys):
+        assert main(["verify", nan_file, "--t", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: non-finite")
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt"), "--t", "3"]) == 2
 
@@ -72,6 +102,12 @@ class TestGeom:
         assert "delta=1.5708" in out
         assert "h=0.9553" in out
         assert "rho=1.22" in out
+
+    def test_non_finite_file(self, nan_file, capsys):
+        assert main(["geom", nan_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: line 4: non-finite")
 
 
 class TestGen:
@@ -92,6 +128,23 @@ class TestGen:
         main(["gen", "--d", "2", "--t", "2", "-o", a, "--seed", "7"])
         main(["gen", "--d", "2", "--t", "2", "-o", b, "--seed", "7"])
         assert open(a).read() == open(b).read()
+
+    def test_blas_thread_count_determinism(self, tmp_path):
+        # separate processes, since BLAS reads its thread count at load
+        src = os.path.dirname(os.path.dirname(sphdesign.__file__))
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src, os.environ.get("PYTHONPATH", "")]))
+            out_file = tmp_path / ("threads%s.txt" % threads)
+            subprocess.run([sys.executable, "-m", "sphdesign.cli", "gen",
+                            "--d", "2", "--t", "3", "--seed", "0",
+                            "-o", str(out_file)],
+                           env=env, check=True, capture_output=True)
+            outputs.append(out_file.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_symmetric_gen(self, tmp_path, capsys):
         out_file = str(tmp_path / "sym.txt")

@@ -12,7 +12,8 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, make_psi,
                                 variational_value_and_param_gradient,
                                 weyl_jacobian, weyl_residual,
                                 weyl_residual_reduced)
-from sphdesign.errors import InvalidDimensionError, InvalidParameterError
+from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
+                              NotNormalizedError)
 from sphdesign.pointset import (ParamVector, PointSet, normalize_pointset,
                                 points_to_param)
 from sphdesign.specfun import dim_harmonic, legendre_norm
@@ -295,3 +296,8 @@ class TestWeylResidual:
     def test_requires_d2(self):
         with pytest.raises(InvalidDimensionError):
             weyl_residual(_random_set(3, 5), 3)
+
+    def test_jacobian_requires_normalized(self):
+        # columns follow the packed angles of the canonical position
+        with pytest.raises(NotNormalizedError):
+            weyl_jacobian(_random_set(2, 7, 6), 4)

@@ -1,12 +1,13 @@
-"""Geometric metrics: exact polytope values, certified mesh norm
-brackets, inner-product multisets, and Riesz energies."""
+"""Geometric metrics: exact polytope values, the closed-form mesh norm
+against sampling and recorded values, inner-product multisets, and
+Riesz energies."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sphdesign import polytopes
+from sphdesign import geometry, polytopes
 from sphdesign.errors import (InfiniteEnergyError, InvalidParameterError,
                               UndefinedMetricError)
 from sphdesign.geometry import (GeometryReport, inner_product_set, mesh_norm,
@@ -39,6 +40,14 @@ def _sampled_mesh_norm(coords, M=200000, seed=1):
     return float(np.max(np.arccos(np.max(g, axis=1))))
 
 
+def _lonlat(*pairs):
+    """Unit vectors from (longitude, latitude) pairs in degrees."""
+    rad = np.radians(np.array(pairs, dtype=float))
+    lon, lat = rad[:, 0], rad[:, 1]
+    return np.stack([np.cos(lat) * np.cos(lon), np.cos(lat) * np.sin(lon),
+                     np.sin(lat)], axis=1)
+
+
 class TestSeparation:
     def test_brute_force(self):
         X = _random_set(2, 15, 3)
@@ -60,8 +69,7 @@ class TestSeparation:
 
 class TestMeshNorm:
     def test_antipodal_pair_exact(self):
-        # the maximizers form a whole great circle, so certification
-        # cannot localize them; a coarser accuracy is appropriate
+        # the maximizers form a whole great circle
         X = polytopes.antipodal_pair()
         h, acc = mesh_norm(X, accuracy=1e-4)
         assert acc <= 1.01e-4
@@ -97,14 +105,84 @@ class TestMeshNorm:
             assert sampled <= h + acc + 1e-12
             assert h >= sampled - acc - 1e-12
 
-    def test_budget_exhaustion_still_rigorous(self):
-        # a tiny cell budget may widen the bracket, but the bracket
-        # must still contain the fully certified value
-        X = _random_set(2, 8, 5)
-        h, acc = mesh_norm(X, accuracy=1e-6, max_cells=2000)
-        full, facc = mesh_norm(X, accuracy=1e-6)
-        assert h - 1e-12 <= full + facc
-        assert full - 1e-12 <= h + acc
+    @pytest.mark.parametrize("d, N, gap", [(2, 8, 0.01), (2, 50, 0.01),
+                                           (2, 200, 0.01), (3, 4, 0.05),
+                                           (3, 6, 0.05), (3, 30, 0.05)])
+    def test_hull_matches_sampling(self, d, N, gap):
+        # the sampled maximum never exceeds h, and a dense sample comes
+        # within its own covering radius of it; N = d+1 points always
+        # lie in an open hemisphere
+        for seed in (0, 1, 2):
+            X = _random_set(d, N, seed)
+            h, acc = mesh_norm(X)
+            assert acc == 0.0
+            sampled = _sampled_mesh_norm(X.coords)
+            assert sampled <= h + 1e-12
+            assert h - sampled <= gap
+
+    def test_open_hemisphere_against_sampling(self):
+        # origin outside the hull: h exceeds pi/2 and is attained
+        # opposite the hull point nearest the origin
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal((30, 3))
+        c[:, 2] = np.abs(c[:, 2]) + 0.05
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        h, _ = mesh_norm(PointSet(d=2, coords=c))
+        sampled = _sampled_mesh_norm(c)
+        assert math.pi / 2.0 < sampled <= h + 1e-12
+        assert h - sampled <= 0.01
+
+    def test_clustered_hemisphere(self):
+        # the hull facet facing the origin would give 3.0537 here; the
+        # farthest sphere point is the antipode of the (0, 0) midpoint
+        c = _lonlat((1.0, 0.0), (-1.0, 0.0), (0.0, 0.1), (0.0, -0.1))
+        h, _ = mesh_norm(PointSet(d=2, coords=c))
+        assert h == pytest.approx(math.pi - math.radians(1.0), abs=1e-9)
+        assert _sampled_mesh_norm(c) <= h + 1e-12
+
+    @pytest.mark.parametrize("coords, expect", [
+        (np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]), math.pi / 2.0),
+        (_lonlat((0.0, 0.0), (120.0, 0.0), (240.0, 0.0)), math.pi / 2.0),
+        (_lonlat((0.0, 0.0), (90.0, 0.0), (180.0, 0.0), (270.0, 0.0)),
+         math.pi / 2.0),
+        (np.eye(3)[:1], math.pi),
+        # nearly flat: a t=1 design as the solver returns it, and four
+        # points of full numerical rank that qhull finds too flat
+        (np.array([[1.0, 0.0, 0.0], [-0.5, math.sqrt(0.75), 0.0],
+                   [-0.5, -math.sqrt(0.75), 3.3e-14]]), math.pi / 2.0),
+        (np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1e-15], [-1.0, 0.0, -1e-15],
+                   [0.0, -1.0, 1e-15]]), math.pi / 2.0),
+    ])
+    def test_degenerate_sets(self, coords, expect):
+        X = PointSet(d=coords.shape[1] - 1, coords=coords)
+        h, acc = mesh_norm(X)
+        assert acc == 0.0
+        assert h == pytest.approx(expect, abs=1e-12)
+        assert _sampled_mesh_norm(coords) <= h + 1e-12
+
+    def test_symmetric_pointset(self):
+        # the octahedron stored as three representatives
+        X = PointSet(d=2, coords=np.eye(3), symmetric=True)
+        h, _ = mesh_norm(X)
+        assert h == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-14)
+
+    @pytest.mark.parametrize("make, expect", [
+        (polytopes.cell600, 0.388139515370189),
+        (polytopes.cell120, 0.388139515370189),
+        (lambda: _random_set(2, 1302, 0), 0.16925295525009315),
+    ])
+    def test_recorded_values(self, make, expect):
+        # certified branch-and-bound values (accuracy 1e-6, polished
+        # lower bounds) recorded before the closed form replaced it
+        h, _ = mesh_norm(make())
+        assert h == pytest.approx(expect, abs=1e-12)
+
+    def test_hull_failure_is_undefined_metric(self, monkeypatch):
+        def fail(coords):
+            raise geometry.QhullError("QH6154 initial simplex is flat")
+        monkeypatch.setattr(geometry, "ConvexHull", fail)
+        with pytest.raises(UndefinedMetricError):
+            mesh_norm(polytopes.octahedron())
 
     def test_accuracy_floor(self):
         with pytest.raises(InvalidParameterError):
@@ -122,6 +200,12 @@ class TestMeshRatio:
         expect = 2.0 * math.acos(1.0 / math.sqrt(3.0)) / (math.pi / 2.0)
         assert rep.rho == pytest.approx(expect, abs=1e-4)
         assert rep.h_accuracy <= 1e-5
+
+    def test_calls_mesh_norm_through_module(self, monkeypatch):
+        # wrappers installed on geometry.mesh_norm see mesh_ratio's call
+        monkeypatch.setattr(geometry, "mesh_norm", lambda X, acc: (0.5, 0.0))
+        rep = mesh_ratio(polytopes.octahedron())
+        assert rep.h == 0.5 and rep.h_accuracy == 0.0
 
 
 class TestInnerProductSet:

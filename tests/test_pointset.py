@@ -43,6 +43,13 @@ class TestPointSet:
         with pytest.raises(InvalidPointError):
             PointSet(d=2, coords=c)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        c = np.eye(3)
+        c[1, 2] = bad
+        with pytest.raises(InvalidPointError, match="row 1"):
+            PointSet(d=2, coords=c)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidPointError):
             PointSet(d=2, coords=np.eye(4))
@@ -200,6 +207,13 @@ class TestIO:
 
         path.write_text("1.1 0 0\n0 1 0\n")
         with pytest.raises(InvalidPointError):
+            read_pointset(path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_row(self, tmp_path, token):
+        path = tmp_path / "nan.txt"
+        path.write_text("# d=2 N=2\n1 0 0\n0 %s 0\n" % token)
+        with pytest.raises(InvalidPointError, match="line 3"):
             read_pointset(path)
 
 
