@@ -11,7 +11,8 @@ least-squares form r^T D r over Weyl sums is available together with
 its Jacobian for Levenberg-Marquardt iterations.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
 from math import lgamma, exp
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import PointSet, ParamVector, _free_slots, _require_normalized, \
-    param_jacobian_point, param_to_points
+    n_free, param_jacobian_point, param_to_points
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -98,8 +99,8 @@ def psi_eval(spec, z):
         return z ** (t - 1) + z ** t - spec.a0
     if spec.kind == PSI2:
         return (0.5 * (1.0 + z)) ** t - spec.a0
-    vals = specfun.jacobi_batch(spec.alpha + 1.0, spec.alpha, t, z)
-    return vals[t] - spec.a0
+    p = specfun.JacobiParams(spec.alpha + 1.0, spec.alpha, t)
+    return specfun.jacobi_eval(p, z) - spec.a0
 
 
 def psi_deriv(spec, z):
@@ -117,8 +118,8 @@ def psi_deriv(spec, z):
         return 0.5 * t * (0.5 * (1.0 + z)) ** (t - 1)
     if t == 0:
         return np.zeros_like(z)
-    vals = specfun.jacobi_batch(spec.alpha + 2.0, spec.alpha + 1.0, t - 1, z)
-    return 0.5 * (t + 2.0 * spec.alpha + 2.0) * vals[t - 1]
+    p = specfun.JacobiParams(spec.alpha + 2.0, spec.alpha + 1.0, t - 1)
+    return 0.5 * (t + 2.0 * spec.alpha + 2.0) * specfun.jacobi_eval(p, z)
 
 
 def psi_coefficients(spec):
@@ -187,13 +188,12 @@ def variational_value_and_param_gradient(p, spec):
     reps = X.coords.shape[0]
     if p.symmetric:
         gcart = gcart[:reps] - gcart[reps:]
-    slots = _free_slots(p.d, reps)
+    rows, cols = _free_slots(p.d, reps)
     phi = np.zeros((reps, p.d))
-    for (j, i), v_ in zip(slots, p.values):
-        phi[j, i] = v_
-    grad = np.empty(len(slots))
+    phi[rows, cols] = p.values
+    grad = np.empty(rows.size)
     jac_cache = {}
-    for s, (j, i) in enumerate(slots):
+    for s, (j, i) in enumerate(zip(rows.tolist(), cols.tolist())):
         if j not in jac_cache:
             jac_cache[j] = param_jacobian_point(phi[j])
         grad[s] = np.dot(jac_cache[j][i], gcart[j])
@@ -206,12 +206,15 @@ class WeylResidual:
 
     r is ordered by ascending degree with the fixed in-degree order of
     the harmonic basis; weights holds the least-squares diagonal
-    a_ell / Z(d, ell) expanded per row.
+    a_ell / Z(d, ell) expanded per row.  tables are the harmonic tables
+    of the points the sums ran over, which weyl_jacobian reuses.
     """
     t: int
     N: int
     r: np.ndarray
     weights: np.ndarray
+    tables: specfun.HarmonicTables = field(default=None, repr=False,
+                                           compare=False)
 
     @property
     def rtr(self):
@@ -226,8 +229,10 @@ class WeylResidual:
         return float(np.max(np.abs(self.r)))
 
 
+@lru_cache(maxsize=None)
 def residual_weights(spec):
-    """Diagonal weights a_ell / Z(d, ell) per residual row (d = 2)."""
+    """Diagonal weights a_ell / Z(d, ell) per residual row (d = 2), as a
+    read-only array shared by every caller with the same spec."""
     if spec.d != 2:
         raise InvalidDimensionError("weighted residuals are for d = 2")
     if spec.kind == PSI3:
@@ -240,7 +245,9 @@ def residual_weights(spec):
     rows = []
     for ell in range(1, spec.t + 1):
         rows.append(np.full(2 * ell + 1, a[ell - 1] / (2 * ell + 1)))
-    return np.concatenate(rows)
+    w = np.concatenate(rows)
+    w.setflags(write=False)
+    return w
 
 
 def weyl_residual(X, t, spec=None):
@@ -254,18 +261,21 @@ def weyl_residual(X, t, spec=None):
     if spec is None:
         spec = make_psi(PSI3, 2, t)
     basis = specfun.sph_harmonics_s2(t, X, include_degree0=False)
-    r = np.array([comp_sum(row) for row in basis.values])
-    return WeylResidual(t=t, N=X.N, r=r, weights=residual_weights(spec))
+    return WeylResidual(t=t, N=X.N, r=comp_sum(basis.values, axis=1),
+                        weights=residual_weights(spec), tables=basis.tables)
 
 
+@lru_cache(maxsize=None)
 def symmetric_row_mask(t):
-    """Mask of even-degree rows in the full residual of degree t."""
+    """Mask of even-degree rows in the full residual of degree t
+    (read-only)."""
     mask = np.zeros((t + 1) ** 2 - 1, dtype=bool)
     pos = 0
     for ell in range(1, t + 1):
         if ell % 2 == 0:
             mask[pos:pos + 2 * ell + 1] = True
         pos += 2 * ell + 1
+    mask.setflags(write=False)
     return mask
 
 
@@ -283,27 +293,36 @@ def weyl_residual_reduced(X, t, spec=None):
         spec = make_psi(PSI3, 2, t)
     basis = specfun.sph_harmonics_s2(t, X.coords, include_degree0=False)
     mask = symmetric_row_mask(t)
-    r = 2.0 * np.array([comp_sum(row) for row in basis.values[mask]])
-    return WeylResidual(t=t, N=X.N, r=r, weights=residual_weights(spec)[mask])
+    r = 2.0 * comp_sum(basis.values[mask], axis=1)
+    return WeylResidual(t=t, N=X.N, r=r, weights=residual_weights(spec)[mask],
+                        tables=basis.tables)
 
 
-def weyl_jacobian(X, t):
+def weyl_jacobian(X, t, residual=None):
     """Jacobian of the residual w.r.t. the packed angles (d = 2).
 
     Rows follow the residual order (even degrees only for symmetric
-    sets, doubled); columns follow the ParamVector packing.
+    sets, doubled); columns follow the ParamVector packing.  residual,
+    the WeylResidual of X, lends its harmonic tables.  The result is
+    C-contiguous: the normal equations built from it must not depend
+    on how it was assembled.
     """
     if X.d != 2:
         raise InvalidDimensionError("Weyl Jacobians require d = 2")
     _require_normalized(X)
     reps = X.coords.shape[0]
-    d1, d2 = specfun.sph_harmonics_s2_jacobian(t, X.coords, include_degree0=False)
+    d1, d2 = specfun.sph_harmonics_s2_jacobian(
+        t, X.coords, include_degree0=False,
+        tables=None if residual is None else residual.tables)
     if X.symmetric:
         mask = symmetric_row_mask(t)
         d1 = 2.0 * d1[mask]
         d2 = 2.0 * d2[mask]
-    slots = _free_slots(2, reps)
-    A = np.empty((d1.shape[0], len(slots)))
-    for s, (j, i) in enumerate(slots):
-        A[:, s] = d1[:, j] if i == 0 else d2[:, j]
+    # the packed order of _free_slots(2, reps): angle 0 of point 1, then
+    # angles 0 and 1 of each point j >= 2
+    A = np.empty((d1.shape[0], n_free(2, reps)))
+    if reps > 1:
+        A[:, 0] = d1[:, 1]
+        A[:, 1::2] = d1[:, 2:]
+        A[:, 2::2] = d2[:, 2:]
     return A

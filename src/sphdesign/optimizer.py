@@ -10,6 +10,7 @@ ratio.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -47,15 +48,42 @@ class SolveOptions:
 
 @dataclass
 class SolveResult:
+    """Outcome of one solve at degree t.
+
+    v1, v2, v3 are the variational values of psi1, psi2, psi3.  On S^2
+    solves are judged and compared by rtr alone, so these dense N x N
+    values are computed on first read: discarded hop and refine trials
+    never pay for them.
+    """
     pointset: PointSet
     converged: bool
-    v1: float
-    v2: float
-    v3: float
     rtr: float  # nan when d > 2
     iterations: int
     geometry: Optional[geometry.GeometryReport]
-    classification: str
+    t: int
+
+    @property
+    def classification(self):
+        return CLASS_DESIGN if self.converged else CLASS_LOCAL
+
+    @cached_property
+    def variational(self):
+        """(v1, v2, v3)."""
+        X = self.pointset
+        return tuple(criteria.variational_value(X, make_psi(k, X.d, self.t))
+                     for k in criteria.KINDS)
+
+    @property
+    def v1(self):
+        return self.variational[0]
+
+    @property
+    def v2(self):
+        return self.variational[1]
+
+    @property
+    def v3(self):
+        return self.variational[2]
 
 
 def initial_points(d, N, kind, seed=0):
@@ -128,23 +156,19 @@ def _clip_wrap(p, values):
     return out
 
 
-def _make_result(X, t, iterations, opts, with_geometry=False):
-    """Build a SolveResult, deciding convergence from the final values."""
-    vs = [criteria.variational_value(X, make_psi(k, X.d, t))
-          for k in criteria.KINDS]
+def _make_result(X, t, iterations, opts):
+    """Build a SolveResult, deciding convergence from the final Weyl
+    sums (d = 2) or variational values (d > 2)."""
+    result = SolveResult(pointset=X, converged=False, rtr=float("nan"),
+                         iterations=iterations, geometry=None, t=t)
     if X.d == 2:
-        rtr = criteria.weyl_residual(X, t).rtr
-        converged = rtr <= opts.r_tolerance(X.N)
+        result.rtr = criteria.weyl_residual(X, t).rtr
+        result.converged = result.rtr <= opts.r_tolerance(X.N)
     else:
-        rtr = float("nan")
-        converged = all(
+        result.converged = all(
             abs(v) <= opts.v_tol * make_psi(k, X.d, t).psi_at_1
-            for v, k in zip(vs, criteria.KINDS))
-    geo = geometry.mesh_ratio(X, accuracy=1e-4) if with_geometry else None
-    cls = CLASS_DESIGN if converged else CLASS_LOCAL
-    return SolveResult(pointset=X, converged=converged, v1=vs[0], v2=vs[1],
-                       v3=vs[2], rtr=rtr, iterations=iterations, geometry=geo,
-                       classification=cls)
+            for v, k in zip(result.variational, criteria.KINDS))
+    return result
 
 
 def minimize_variational(X0, spec, opts=SolveOptions()):
@@ -216,6 +240,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
     nu = opts.lm_nu0
     its = 0
     f_hist = [f]
+    eye = np.eye(p.values.size)
     while its < opts.max_iterations:
         if res.rtr <= r_tol:
             break
@@ -225,7 +250,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
                 and f > f_hist[-_STALL_WINDOW - 1] / _STALL_FACTOR
                 and res.rtr > 1e6 * r_tol):
             break
-        A = criteria.weyl_jacobian(X, t)
+        A = criteria.weyl_jacobian(X, t, res)
         g = A.T @ (w * res.r)
         if np.max(np.abs(2.0 * g)) <= opts.gradient_tolerance and nu > 1e10:
             break
@@ -233,7 +258,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
         stepped = False
         for _ in range(60):
             try:
-                direction = np.linalg.solve(B + nu * np.eye(B.shape[0]), -g)
+                direction = np.linalg.solve(B + nu * eye, -g)
             except np.linalg.LinAlgError:
                 nu *= opts.lm_nu_up
                 continue
@@ -289,8 +314,9 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
             result = solve_lsq_with_hops(X0, t, symmetric=True, opts=opts,
                                          seed=seed + 1)
             if result.converged:
-                result = _make_result(result.pointset.expand(), t,
-                                      result.iterations, opts)
+                # the expanded points are those the solve's final Weyl
+                # sums already ran over, so rtr and convergence stand
+                result.pointset = result.pointset.expand()
                 result.geometry = geometry.mesh_ratio(result.pointset,
                                                       accuracy=1e-4)
                 if best is None or result.geometry.rho < best.geometry.rho:
@@ -336,12 +362,13 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
                                                      accuracy=1e-4)
                 if trial.geometry.rho < best.geometry.rho:
                     best = trial
-    if best is not None:
-        return best
-    if best_any.geometry is None:
-        best_any.geometry = geometry.mesh_ratio(best_any.pointset,
-                                                accuracy=1e-4)
-    return best_any
+    result = best if best is not None else best_any
+    if result.geometry is None:
+        result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+    # the returned design alone gets its variational values, here
+    # rather than at the caller's first read
+    result.variational  # noqa: B018
+    return result
 
 
 def _obj(result):

@@ -15,6 +15,7 @@ remaining angles are optimization variables.
 
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,19 +108,28 @@ def n_free(d, N, symmetric=False):
     return N * d - d * (d + 1) // 2
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=None)
 def _free_slots(d, N):
-    """Packed order of free angles: (point index j, angle index i), both
-    0-based, angles i = 0..min(j, d) - 1 for point j."""
-    slots = []
-    for j in range(1, N):
-        for i in range(min(j, d)):
-            slots.append((j, i))
-    return slots
+    """Packed order of free angles as two read-only index arrays: point
+    index j and angle index i, both 0-based, angles i = 0..min(j, d) - 1
+    for point j."""
+    slots = [(j, i) for j in range(1, N) for i in range(min(j, d))]
+    j, i = np.array(slots, dtype=int).reshape(-1, 2).T
+    return _read_only(j.copy(), i.copy())
 
 
-def _angle_upper(d, j, i):
-    """Upper bound of free angle i of point j (0-based indices)."""
-    return TWO_PI if i == d - 1 else np.pi
+@lru_cache(maxsize=None)
+def _angle_bounds(d, N):
+    """Read-only (lower, upper) bounds of the packed angles of N points:
+    the final angle of a point lies in [0, 2 pi], the others in [0, pi]."""
+    _, i = _free_slots(d, N)
+    return _read_only(np.zeros(i.size), np.where(i == d - 1, TWO_PI, np.pi))
 
 
 @dataclass
@@ -128,7 +138,8 @@ class ParamVector:
 
     For symmetric sets the angles describe the N/2 representatives.
     Bounds: colatitude-like angles lie in [0, pi]; the final angle of a
-    point (index d) in [0, 2 pi).
+    point (index d) in [0, 2 pi).  Default bounds are read-only arrays
+    shared by every ParamVector of the same shape.
     """
     d: int
     N: int
@@ -143,26 +154,29 @@ class ParamVector:
         if self.values.shape != (n,):
             raise InvalidParameterError(
                 "expected %d packed angles, got shape %r" % (n, self.values.shape))
-        if self.lower is None:
-            self.lower = np.zeros(n)
-        if self.upper is None:
+        if self.lower is None or self.upper is None:
             reps = self.N // 2 if self.symmetric else self.N
-            self.upper = np.array([_angle_upper(self.d, j, i)
-                                   for j, i in _free_slots(self.d, reps)])
+            lower, upper = _angle_bounds(self.d, reps)
+            if self.lower is None:
+                self.lower = lower
+            if self.upper is None:
+                self.upper = upper
         if np.any(self.values < self.lower - 1e-12) or \
            np.any(self.values > self.upper + 1e-12):
             raise InvalidParameterError("packed angle out of bounds")
 
 
-def _angles_to_point(phi):
-    """Point in R^{d+1} from its d spherical angles."""
-    d = len(phi)
-    x = np.empty(d + 1)
-    s = 1.0
+def _angles_to_points(phi):
+    """Points in R^{d+1}, one per row of the (M, d) spherical angles;
+    each sine product is built left to right."""
+    M, d = phi.shape
+    cos, sin = np.cos(phi), np.sin(phi)
+    x = np.empty((M, d + 1))
+    s = np.ones(M)
     for i in range(d):
-        x[i] = s * np.cos(phi[i])
-        s *= np.sin(phi[i])
-    x[d] = s
+        x[:, i] = s * cos[:, i]
+        s = s * sin[:, i]
+    x[:, d] = s
     return x
 
 
@@ -187,17 +201,13 @@ def param_to_points(p):
     """Expand a ParamVector into its normalized PointSet."""
     d = p.d
     reps = p.N // 2 if p.symmetric else p.N
-    slots = _free_slots(d, reps)
-    coords = np.empty((reps, d + 1))
     phi = np.zeros((reps, d))
-    for (j, i), v in zip(slots, p.values):
-        phi[j, i] = v
-    for j in range(reps):
-        coords[j] = _angles_to_point(phi[j])
+    phi[_free_slots(d, reps)] = p.values
+    coords = _angles_to_points(phi)
     # the zero pattern makes trailing coordinates exactly zero
     for j in range(min(reps, d + 1)):
         coords[j, j + 1:] = 0.0
-        nrm = np.linalg.norm(coords[j])
+        nrm = np.sqrt(coords[j].dot(coords[j]))  # np.linalg.norm, inlined
         if nrm > 0:
             coords[j] /= nrm
     return PointSet(d=d, coords=coords, symmetric=p.symmetric)
@@ -211,11 +221,8 @@ def points_to_param(X):
     d = X.d
     reps = X.coords.shape[0]
     _require_normalized(X)
-    slots = _free_slots(d, reps)
-    values = np.empty(len(slots))
     angles = np.array([_point_to_angles(X.coords[j], d) for j in range(reps)])
-    for s, (j, i) in enumerate(slots):
-        values[s] = angles[j, i]
+    values = angles[_free_slots(d, reps)]
     return ParamVector(d=d, N=X.N, symmetric=X.symmetric, values=values)
 
 

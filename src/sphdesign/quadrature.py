@@ -62,7 +62,7 @@ def _finite_or_none(x):
 def _degree_max_weyl_s2(X, t_max):
     """Per-degree max |r_{l,k}|/N for l = 1..t_max."""
     basis = specfun.sph_harmonics_s2(t_max, X, include_degree0=False)
-    sums = np.array([comp_sum(row) for row in basis.values])
+    sums = comp_sum(basis.values, axis=1)
     N = X.N
     out = np.empty(t_max)
     pos = 0

@@ -7,7 +7,9 @@ differences so large degrees do not overflow.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, lgamma, exp
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -89,8 +91,32 @@ def jacobi_batch(alpha, beta, L, z):
 
 
 def jacobi_eval(p, z):
-    """Value of the Jacobi polynomial described by JacobiParams p at z."""
-    return jacobi_batch(p.alpha, p.beta, p.ell, z)[p.ell]
+    """Value of the Jacobi polynomial described by JacobiParams p at z.
+
+    Runs the recurrence of jacobi_batch, with the same arithmetic, but
+    keeps only the last two degrees.
+    """
+    z = np.asarray(z, dtype=float)
+    prev = np.ones(z.shape)
+    if p.ell == 0:
+        return prev
+    alpha, beta = p.alpha, p.beta
+    ab = alpha + beta
+    cur = 0.5 * (ab + 2.0) * z + 0.5 * (alpha - beta)
+    for n in range(2, p.ell + 1):
+        c = 2.0 * n + ab
+        a1 = 2.0 * n * (n + ab) * (c - 2.0)
+        a2 = (c - 1.0) * (alpha * alpha - beta * beta)
+        a3 = (c - 2.0) * (c - 1.0) * c
+        a4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * c
+        nxt = a3 * z
+        nxt += a2
+        nxt *= cur
+        prev *= a4
+        nxt -= prev
+        nxt /= a1
+        prev, cur = cur, nxt
+    return cur
 
 
 def jacobi_at_one(alpha, ell):
@@ -111,7 +137,7 @@ def legendre_norm(d, ell, z):
     if d < 2:
         raise InvalidDimensionError("normalized Legendre needs d >= 2")
     alpha = 0.5 * (d - 2.0)
-    return jacobi_batch(alpha, alpha, ell, z)[ell] / jacobi_at_one(alpha, ell)
+    return jacobi_eval(JacobiParams(alpha, alpha, ell), z) / jacobi_at_one(alpha, ell)
 
 
 def legendre_norm_batch(d, L, z):
@@ -170,49 +196,161 @@ def jacobi_largest_zero(alpha, beta, n, polish=True):
     return float(gamma)
 
 
+def _row(l, k):
+    """Row of Q_l^k in the flat Schmidt table."""
+    return l * (l + 1) // 2 + k
+
+
+def _frozen(*arrays):
+    """The arrays, made read-only (they are shared through a cache)."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _degree_runs(degrees, counts):
+    """Each degree repeated counts times, with the position 0..count-1
+    within its run."""
+    deg = np.repeat(degrees, counts)
+    start = np.repeat(np.cumsum(counts) - counts, counts)
+    return deg, np.arange(deg.size) - start
+
+
+@lru_cache(maxsize=None)
+def _schmidt_coefficients(L):
+    """Rows and coefficients of the Schmidt-table recurrences up to L.
+
+    Q_k^k = sqrt((2k-1)/(2k)) u Q_(k-1)^(k-1) fills the rows `diag`;
+    Q_l^(l-1) = sqrt(2l-1) x Q_(l-1)^(l-1) fills `sub` from `sub_from`;
+    for l = 2..L, entry l-2 of `steps` advances the block k = 0..l-2 of
+    degree l as (c x Q_(l-1)^k - b Q_(l-2)^k) / a, with c[l-2] = 2l-1,
+    a = sqrt(l^2-k^2) and b = sqrt((l-1)^2-k^2).
+    """
+    l = np.arange(1, L + 1)
+    diag = _frozen(_row(l, l), np.sqrt((2.0 * l - 1.0) / (2.0 * l))[:, None])
+    sub = _frozen(_row(l, l - 1), _row(l - 1, l - 1),
+                  np.sqrt(2.0 * (l - 1.0) + 1.0)[:, None])
+    c, = _frozen((2.0 * l[1:] - 1.0)[:, None])
+    steps = []
+    for l in range(2, L + 1):
+        k = np.arange(l - 1, dtype=float)
+        steps.append((slice(_row(l, 0), _row(l, l - 1)),
+                      slice(_row(l - 1, 0), _row(l - 1, l - 1)),
+                      slice(_row(l - 2, 0), _row(l - 1, 0)),
+                      *_frozen(np.sqrt(l * l - k * k)[:, None],
+                               np.sqrt((l - 1) * (l - 1) - k * k)[:, None])))
+    return diag, sub, c, steps
+
+
 def _schmidt_table(L, x):
     """Semi-normalized associated Legendre values Q_l^k(x) for l <= L.
 
     Q_l^k = sqrt((l-k)!/(l+k)!) * P_l^k without the Condon-Shortley
     phase, including the (1-x^2)^(k/2) factor.  Returned as a flat
-    array indexed by idx(l, k) = l(l+1)/2 + k, vectorized over x.
+    array indexed by row l(l+1)/2 + k, one column per entry of the
+    1-d array x.  The l-recurrence runs on whole degree blocks.
     """
     x = np.asarray(x, dtype=float)
     u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    nrows = (L + 1) * (L + 2) // 2
-    q = np.zeros((nrows,) + x.shape)
-
-    def idx(l, k):
-        return l * (l + 1) // 2 + k
-
-    q[idx(0, 0)] = 1.0
-    for k in range(1, L + 1):
-        q[idx(k, k)] = u * np.sqrt((2.0 * k - 1.0) / (2.0 * k)) * q[idx(k - 1, k - 1)]
-    for k in range(0, L):
-        if k + 1 <= L:
-            q[idx(k + 1, k)] = np.sqrt(2.0 * k + 1.0) * x * q[idx(k, k)]
-        for l in range(k + 2, L + 1):
-            a = np.sqrt(float(l * l - k * k))
-            b = np.sqrt(float((l - 1) * (l - 1) - k * k))
-            q[idx(l, k)] = ((2.0 * l - 1.0) * x * q[idx(l - 1, k)]
-                            - b * q[idx(l - 2, k)]) / a
+    q = np.empty(((L + 1) * (L + 2) // 2, x.size))
+    q[0] = 1.0
+    if L == 0:
+        return q
+    (diag, cd), (sub, sub_from, cs), c, steps = _schmidt_coefficients(L)
+    q[diag] = np.cumprod(cd * u, axis=0)
+    q[sub] = (cs * x) * q[sub_from]
+    cx = c * x
+    for cx_l, (new, prev, prev2, a, b) in zip(cx, steps):
+        block = q[new]
+        np.multiply(cx_l, q[prev], out=block)
+        block -= b * q[prev2]
+        block /= a
     return q
+
+
+@lru_cache(maxsize=None)
+def _theta_coefficients(L):
+    """Rows and coefficients of dQ_l^k/dtheta for 1 <= l <= L, in three
+    groups: k = 0, 0 < k < l, and k = l."""
+    l = np.arange(1, L + 1)
+    lm, km = _degree_runs(l, l - 1)
+    km = km + 1
+    zonal = _frozen(_row(l, 0), -np.sqrt(l * (l + 1.0))[:, None])
+    mid = _frozen(_row(lm, km), np.sqrt((lm + km) * (lm - km + 1.0))[:, None],
+                  np.sqrt((lm - km) * (lm + km + 1.0))[:, None])
+    top = _frozen(_row(l, l), np.sqrt(2.0 * l)[:, None])
+    return zonal, mid, top
 
 
 def _schmidt_theta_deriv(L, q):
     """Colatitude derivatives dQ_l^k/dtheta from the Q table itself."""
-    dq = np.zeros_like(q)
-
-    def idx(l, k):
-        return l * (l + 1) // 2 + k
-
-    for l in range(1, L + 1):
-        dq[idx(l, 0)] = -np.sqrt(l * (l + 1.0)) * q[idx(l, 1)]
-        for k in range(1, l + 1):
-            lo = np.sqrt((l + k) * (l - k + 1.0)) * q[idx(l, k - 1)]
-            hi = 0.0 if k == l else np.sqrt((l - k) * (l + k + 1.0)) * q[idx(l, k + 1)]
-            dq[idx(l, k)] = 0.5 * (lo - hi)
+    dq = np.empty_like(q)
+    dq[0] = 0.0
+    if L == 0:
+        return dq
+    (zr, zc), (mr, lo, hi), (tr, tc) = _theta_coefficients(L)
+    dq[zr] = zc * q[zr + 1]
+    if mr.size:
+        dq[mr] = 0.5 * (lo * q[mr - 1] - hi * q[mr + 1])
+    dq[tr] = 0.5 * (tc * q[tr - 1])
     return dq
+
+
+@dataclass
+class HarmonicTables:
+    """The per-point tables every harmonic of degree <= L is built from.
+
+    q is the Schmidt table of the colatitude cosines; trig has 2L+1 rows
+    sin(L phi2)..sin(phi2), ones, cos(phi2)..cos(L phi2), so row L+s
+    holds the azimuthal factor of in-degree index s.
+    """
+    L: int
+    q: np.ndarray
+    trig: np.ndarray
+
+
+def _harmonic_tables(L, X):
+    """Schmidt and trigonometric tables of the points of X (see
+    sph_harmonics_s2 for what X may be)."""
+    coords = _check_s2(X, L)
+    x, phi2 = _s2_angles(coords)
+    kphi = np.multiply.outer(np.arange(1, L + 1), phi2)
+    trig = np.empty((2 * L + 1, coords.shape[0]))
+    trig[:L] = np.sin(kphi)[::-1]
+    trig[L] = 1.0
+    trig[L + 1:] = np.cos(kphi)
+    return HarmonicTables(L=L, q=_schmidt_table(L, x), trig=trig)
+
+
+class _BasisLayout(NamedTuple):
+    """Where each basis row takes its factors from (read-only arrays).
+
+    A value row is coef * q[rows] * trig[trig_rows]; its phi2
+    derivative is (coef2 * q[rows]) * k * trig[trig_rows2], zero on
+    the zonal rows.
+    """
+    rows: np.ndarray
+    trig_rows: np.ndarray
+    coef: np.ndarray
+    trig_rows2: np.ndarray
+    coef2: np.ndarray
+    k: np.ndarray
+    zonal: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _basis_layout(L, include_degree0):
+    """Row layout of the basis up to degree L.  In-degree index s runs
+    -l..l; the normalization is sqrt(2l+1) for s = 0, else sqrt(2(2l+1))."""
+    l = np.arange(0 if include_degree0 else 1, L + 1)
+    ls, pos = _degree_runs(l, 2 * l + 1)
+    s = pos - ls
+    coef = np.where(s == 0, np.sqrt(2.0 * ls + 1.0),
+                    np.sqrt(2.0 * (2.0 * ls + 1.0)))
+    return _BasisLayout(*_frozen(
+        _row(ls, np.abs(s)), L + s, coef[:, None], L - s,
+        np.where(s > 0, -coef, coef)[:, None],
+        np.abs(s).astype(float)[:, None], s == 0))
 
 
 @dataclass
@@ -221,11 +359,13 @@ class HarmonicBasisEval:
 
     values has one row per basis function; the block for degree l holds
     2l+1 rows ordered sin(l phi2)..sin(phi2), the zonal term, then
-    cos(phi2)..cos(l phi2).
+    cos(phi2)..cos(l phi2).  tables are the tables the values were
+    built from, for reuse by sph_harmonics_s2_jacobian.
     """
     L: int
     include_degree0: bool
     values: np.ndarray
+    tables: HarmonicTables = None
 
 
 def _s2_angles(coords):
@@ -254,65 +394,37 @@ def sph_harmonics_s2(L, X, include_degree0=False):
     X may be a PointSet with d=2 (symmetric sets are expanded) or a
     plain (M, 3) array of unit vectors.
     """
-    coords = _check_s2(X, L)
-    x, phi2 = _s2_angles(coords)
-    q = _schmidt_table(L, x)
-    M = coords.shape[0]
-    lo = 0 if include_degree0 else 1
-    nrows = (L + 1) ** 2 - (0 if include_degree0 else 1)
-    out = np.empty((nrows, M))
-    row = 0
-
-    def idx(l, k):
-        return l * (l + 1) // 2 + k
-
-    for l in range(lo, L + 1):
-        c0 = np.sqrt(2.0 * l + 1.0)
-        ck = np.sqrt(2.0 * (2.0 * l + 1.0))
-        for k in range(l, 0, -1):
-            out[row] = ck * q[idx(l, k)] * np.sin(k * phi2)
-            row += 1
-        out[row] = c0 * q[idx(l, 0)]
-        row += 1
-        for k in range(1, l + 1):
-            out[row] = ck * q[idx(l, k)] * np.cos(k * phi2)
-            row += 1
-    return HarmonicBasisEval(L=L, include_degree0=include_degree0, values=out)
+    tables = _harmonic_tables(L, X)
+    lay = _basis_layout(L, include_degree0)
+    out = tables.q[lay.rows]
+    out *= lay.coef
+    out *= tables.trig[lay.trig_rows]
+    return HarmonicBasisEval(L=L, include_degree0=include_degree0,
+                             values=out, tables=tables)
 
 
-def sph_harmonics_s2_jacobian(L, X, include_degree0=False):
+def sph_harmonics_s2_jacobian(L, X, include_degree0=False, tables=None):
     """Analytic derivatives of the harmonic basis w.r.t. (phi1, phi2).
 
     phi1 is the colatitude from the first axis, phi2 the azimuth in the
     plane of the second and third axes.  Returns (dY_dphi1, dY_dphi2),
     each shaped like the value matrix.  At the poles the azimuthal
-    chain-rule entries are taken at their finite limits.
+    chain-rule entries are taken at their finite limits.  tables, the
+    tables of a value evaluation of the same points and degree, spare
+    building them again.
     """
-    coords = _check_s2(X, L)
-    x, phi2 = _s2_angles(coords)
-    q = _schmidt_table(L, x)
-    dq = _schmidt_theta_deriv(L, q)
-    M = coords.shape[0]
-    lo = 0 if include_degree0 else 1
-    nrows = (L + 1) ** 2 - (0 if include_degree0 else 1)
-    d1 = np.zeros((nrows, M))
-    d2 = np.zeros((nrows, M))
-    row = 0
-
-    def idx(l, k):
-        return l * (l + 1) // 2 + k
-
-    for l in range(lo, L + 1):
-        c0 = np.sqrt(2.0 * l + 1.0)
-        ck = np.sqrt(2.0 * (2.0 * l + 1.0))
-        for k in range(l, 0, -1):
-            d1[row] = ck * dq[idx(l, k)] * np.sin(k * phi2)
-            d2[row] = ck * q[idx(l, k)] * k * np.cos(k * phi2)
-            row += 1
-        d1[row] = c0 * dq[idx(l, 0)]
-        row += 1
-        for k in range(1, l + 1):
-            d1[row] = ck * dq[idx(l, k)] * np.cos(k * phi2)
-            d2[row] = -ck * q[idx(l, k)] * k * np.sin(k * phi2)
-            row += 1
+    if tables is None:
+        tables = _harmonic_tables(L, X)
+    elif tables.L != L or tables.trig.shape[1] != _check_s2(X, L).shape[0]:
+        raise InvalidParameterError("harmonic tables of other points or degree")
+    lay = _basis_layout(L, include_degree0)
+    d1 = _schmidt_theta_deriv(L, tables.q)[lay.rows]
+    d1 *= lay.coef
+    d1 *= tables.trig[lay.trig_rows]
+    # d/dphi2 of sin(k phi2) is k cos(k phi2), of cos(k phi2) -k sin(k phi2)
+    d2 = tables.q[lay.rows]
+    d2 *= lay.coef2
+    d2 *= lay.k
+    d2 *= tables.trig[lay.trig_rows2]
+    d2[lay.zonal] = 0.0
     return d1, d2

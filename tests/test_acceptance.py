@@ -229,14 +229,17 @@ class TestProperties:
         assert abs(ga.delta - gb.delta) <= 1e-10
         assert abs(ga.h - gb.h) <= 2e-4
 
-    def test_thread_count_determinism(self, monkeypatch):
+    def test_thread_count_determinism(self):
+        # row sums in one call give each row the bits it gets alone, on
+        # both sides of the fsum / blocked-Kahan switch at 1024; the
+        # cross-process BLAS thread check is in test_cli.py
         rng = np.random.default_rng(23)
-        data = rng.standard_normal(100001) * 10.0 ** rng.integers(
-            -8, 8, 100001)
-        baseline = comp_sum(data)
-        for threads in ("1", "4", "16"):
-            monkeypatch.setenv("SPHDESIGN_THREADS", threads)
-            assert comp_sum(data) == baseline
+        for width in (1, 1024, 1025, 3000):
+            data = rng.standard_normal((7, width)) * 10.0 ** rng.integers(
+                -8, 8, (7, width))
+            rows = np.array([comp_sum(row) for row in data])
+            assert comp_sum(data, axis=1).tobytes() == rows.tobytes()
+            assert comp_sum(data.T, axis=0).tobytes() == rows.tobytes()
 
 
 class TestHighDegreeScope:

@@ -280,6 +280,37 @@ class TestWeylResidual:
             assert np.allclose(A[:, s], (rp - rm) / (2.0 * h), rtol=1e-5,
                                atol=1e-6)
 
+    @pytest.mark.parametrize("N,symmetric", [(1, False), (2, False),
+                                              (3, False), (14, False),
+                                              (4, True), (14, True)])
+    def test_jacobian_matches_column_loop(self, N, symmetric):
+        # reference: the per-column copy it replaced; the result must be
+        # C-contiguous, since the BLAS path of A.T @ (w A) depends on it
+        from sphdesign.specfun import sph_harmonics_s2_jacobian
+        Y, _ = normalize_pointset(_random_set(2, N, 9, symmetric=symmetric))
+        t = 5
+        d1, d2 = sph_harmonics_s2_jacobian(t, Y.coords)
+        if symmetric:
+            mask = symmetric_row_mask(t)
+            d1, d2 = 2.0 * d1[mask], 2.0 * d2[mask]
+        n = points_to_param(Y).values.size
+        ref = np.empty((d1.shape[0], n))
+        s = 0
+        for j in range(1, Y.coords.shape[0]):
+            for i in range(min(j, 2)):
+                ref[:, s] = d1[:, j] if i == 0 else d2[:, j]
+                s += 1
+        res = (weyl_residual_reduced if symmetric else weyl_residual)(Y, t)
+        for A in (weyl_jacobian(Y, t), weyl_jacobian(Y, t, res)):
+            assert A.flags["C_CONTIGUOUS"]
+            assert A.tobytes() == ref.tobytes()
+
+    def test_weights_are_shared_read_only(self):
+        w = residual_weights(make_psi(PSI2, 2, 6))
+        assert w is residual_weights(make_psi(PSI2, 2, 6))
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
     def test_rotation_invariance_of_norms(self):
         rng = np.random.default_rng(12)
         X = _random_set(2, 10, 3)

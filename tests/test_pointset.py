@@ -1,6 +1,9 @@
 """Point-set representation, normalization, packing, and file I/O."""
 
 import math
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +13,8 @@ from hypothesis import strategies as st
 from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
                               InvalidParameterError, NotNormalizedError,
                               ParseError)
-from sphdesign.pointset import (ParamVector, PointSet, geodesic_dist,
+from sphdesign.pointset import (ParamVector, PointSet, _angles_to_points,
+                                geodesic_dist,
                                 is_normalized, n_free, normalize_pointset,
                                 param_jacobian_point, param_to_points,
                                 points_to_param, read_pointset, surface_area,
@@ -147,6 +151,50 @@ class TestRoundTrip:
         Z = param_to_points(points_to_param(Y))
         assert np.allclose(Z.coords, Y.coords, atol=1e-12)
 
+    @pytest.mark.parametrize("d,N,symmetric", [(2, 1, False), (2, 2, False),
+                                                (2, 40, False), (2, 30, True),
+                                                (3, 12, False), (5, 9, False)])
+    def test_param_to_points_matches_point_loop(self, d, N, symmetric):
+        # reference: the per-point loop of scalar products it replaced
+        def angles_to_point(phi):
+            x = np.empty(d + 1)
+            s = 1.0
+            for i in range(d):
+                x[i] = s * np.cos(phi[i])
+                s *= np.sin(phi[i])
+            x[d] = s
+            return x
+
+        rng = np.random.default_rng(N + d)
+        p0 = ParamVector(d=d, N=N, symmetric=symmetric,
+                         values=np.zeros(n_free(d, N, symmetric)))
+        p = ParamVector(d=d, N=N, symmetric=symmetric,
+                        values=rng.uniform(p0.lower, p0.upper))
+        reps = N // 2 if symmetric else N
+        phi = np.zeros((reps, d))
+        s = 0
+        for j in range(1, reps):
+            for i in range(min(j, d)):
+                phi[j, i] = p.values[s]
+                s += 1
+        coords = np.array([angles_to_point(row) for row in phi])
+        for j in range(min(reps, d + 1)):
+            coords[j, j + 1:] = 0.0
+            coords[j] /= np.linalg.norm(coords[j])
+        X = param_to_points(p)
+        assert X.symmetric == symmetric
+        assert X.coords.tobytes() == coords.tobytes()
+
+    def test_default_bounds_are_read_only(self):
+        p = ParamVector(d=2, N=6, symmetric=False, values=np.zeros(9))
+        q = ParamVector(d=2, N=6, symmetric=False, values=np.ones(9))
+        assert p.upper is q.upper
+        with pytest.raises(ValueError):
+            p.upper[0] = 1.0
+        with pytest.raises(ValueError):
+            p.lower[0] = 1.0
+        assert np.array_equal(p.upper, [np.pi] + [np.pi, 2 * np.pi] * 4)
+
     def test_param_vector_bounds(self):
         n = n_free(2, 5)
         with pytest.raises(InvalidParameterError):
@@ -217,6 +265,42 @@ class TestIO:
             read_pointset(path)
 
 
+_FUZZ_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_FUZZ_TOKEN = st.one_of(
+    st.floats().map(repr), st.integers(-2, 2).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "0.6", "0.8", "1_0",
+                     "0x1", "x", "=", "#"]),
+    _FUZZ_TEXT)
+_FUZZ_HEADER = st.lists(
+    st.tuples(st.sampled_from(["d", "N", "sym", "t", "", "q"]),
+              st.one_of(st.integers(-3, 12).map(str), _FUZZ_TEXT)).map(
+        lambda kv: "%s=%s" % kv), max_size=4).map(
+    lambda toks: "# " + " ".join(toks))
+_FUZZ_ROW = st.one_of(
+    st.sampled_from(["1 0 0", "0 1 0", "0 0 -1", "0.6 0.8", "1 0",
+                     "0 0 0 1", "0.6 0 0.8", ""]),
+    st.lists(_FUZZ_TOKEN, max_size=5).map(" ".join))
+
+
+class TestReadFuzz:
+    @given(st.lists(st.one_of(_FUZZ_HEADER, _FUZZ_ROW), max_size=8),
+           st.sampled_from(["\n", "\r\n"]))
+    @settings(max_examples=300, deadline=None)
+    def test_only_documented_outcomes(self, lines, newline):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "fuzz.txt")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(newline.join(lines))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    X = read_pointset(path)
+                except (ParseError, InvalidPointError):
+                    return
+        assert isinstance(X, PointSet)
+        assert np.all(np.isfinite(X.coords))
+
+
 class TestParamJacobian:
     def test_finite_difference(self):
         rng = np.random.default_rng(6)
@@ -227,16 +311,14 @@ class TestParamJacobian:
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = h
-                from sphdesign.pointset import _angles_to_point
-                fd = (_angles_to_point(phi + e)
-                      - _angles_to_point(phi - e)) / (2.0 * h)
+                fd = (_angles_to_points((phi + e)[None])[0]
+                      - _angles_to_points((phi - e)[None])[0]) / (2.0 * h)
                 assert np.allclose(J[i], fd, rtol=1e-6, atol=1e-6)
 
     def test_tangency(self):
         # dx/dphi is orthogonal to x: motion stays on the sphere
-        from sphdesign.pointset import _angles_to_point
         rng = np.random.default_rng(8)
         phi = rng.uniform(0.2, np.pi - 0.2, 4)
-        x = _angles_to_point(phi)
+        x = _angles_to_points(phi[None])[0]
         J = param_jacobian_point(phi)
         assert np.allclose(J @ x, 0.0, atol=1e-12)

@@ -156,6 +156,97 @@ def _random_s2(M, seed):
     return c / np.linalg.norm(c, axis=1)[:, None]
 
 
+def _oracle_tables(L, coords):
+    """Schmidt table and its colatitude derivative by the scalar
+    per-(l, k) recurrences, the reference for the block recurrences."""
+    x = np.clip(coords[:, 0], -1.0, 1.0)
+    u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    q = np.zeros(((L + 1) * (L + 2) // 2,) + x.shape)
+
+    def idx(l, k):
+        return l * (l + 1) // 2 + k
+
+    q[idx(0, 0)] = 1.0
+    for k in range(1, L + 1):
+        q[idx(k, k)] = u * np.sqrt((2.0 * k - 1.0) / (2.0 * k)) * q[idx(k - 1, k - 1)]
+    for k in range(0, L):
+        q[idx(k + 1, k)] = np.sqrt(2.0 * k + 1.0) * x * q[idx(k, k)]
+        for l in range(k + 2, L + 1):
+            a = np.sqrt(float(l * l - k * k))
+            b = np.sqrt(float((l - 1) * (l - 1) - k * k))
+            q[idx(l, k)] = ((2.0 * l - 1.0) * x * q[idx(l - 1, k)]
+                            - b * q[idx(l - 2, k)]) / a
+    dq = np.zeros_like(q)
+    for l in range(1, L + 1):
+        dq[idx(l, 0)] = -np.sqrt(l * (l + 1.0)) * q[idx(l, 1)]
+        for k in range(1, l + 1):
+            lo = np.sqrt((l + k) * (l - k + 1.0)) * q[idx(l, k - 1)]
+            hi = 0.0 if k == l else np.sqrt((l - k) * (l + k + 1.0)) * q[idx(l, k + 1)]
+            dq[idx(l, k)] = 0.5 * (lo - hi)
+    return q, dq, idx
+
+
+def _oracle_harmonics(L, coords, include_degree0):
+    """Values and (phi1, phi2) derivatives row by row, one (l, k) at a time."""
+    q, dq, idx = _oracle_tables(L, coords)
+    phi2 = np.arctan2(coords[:, 2], coords[:, 1])
+    lo = 0 if include_degree0 else 1
+    nrows = (L + 1) ** 2 - lo
+    out = np.empty((nrows, coords.shape[0]))
+    d1 = np.zeros_like(out)
+    d2 = np.zeros_like(out)
+    row = 0
+    for l in range(lo, L + 1):
+        c0 = np.sqrt(2.0 * l + 1.0)
+        ck = np.sqrt(2.0 * (2.0 * l + 1.0))
+        for k in range(l, 0, -1):
+            out[row] = ck * q[idx(l, k)] * np.sin(k * phi2)
+            d1[row] = ck * dq[idx(l, k)] * np.sin(k * phi2)
+            d2[row] = ck * q[idx(l, k)] * k * np.cos(k * phi2)
+            row += 1
+        out[row] = c0 * q[idx(l, 0)]
+        d1[row] = c0 * dq[idx(l, 0)]
+        row += 1
+        for k in range(1, l + 1):
+            out[row] = ck * q[idx(l, k)] * np.cos(k * phi2)
+            d1[row] = ck * dq[idx(l, k)] * np.cos(k * phi2)
+            d2[row] = -ck * q[idx(l, k)] * k * np.sin(k * phi2)
+            row += 1
+    return out, d1, d2
+
+
+def _bitwise_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestHarmonicsAgainstLoops:
+    """The block recurrences do the arithmetic of the scalar loops in
+    the same order, so values and derivatives agree bit for bit."""
+
+    @pytest.mark.parametrize("L", [0, 1, 2, 5, 20, 60])
+    def test_bitwise_equal_to_loops(self, L):
+        coords = np.vstack([_random_s2(40, L), np.eye(3), -np.eye(3),
+                            [[np.cos(0.3), np.sin(0.3), 0.0]]])
+        for include_degree0 in (False, True):
+            values, d1, d2 = _oracle_harmonics(L, coords, include_degree0)
+            basis = sph_harmonics_s2(L, coords, include_degree0)
+            assert _bitwise_equal(basis.values, values)
+            j1, j2 = sph_harmonics_s2_jacobian(L, coords, include_degree0)
+            assert _bitwise_equal(j1, d1)
+            assert _bitwise_equal(j2, d2)
+            r1, r2 = sph_harmonics_s2_jacobian(L, coords, include_degree0,
+                                               tables=basis.tables)
+            assert _bitwise_equal(r1, d1)
+            assert _bitwise_equal(r2, d2)
+
+    def test_tables_of_other_points_rejected(self):
+        basis = sph_harmonics_s2(4, _random_s2(6, 1))
+        with pytest.raises(InvalidParameterError):
+            sph_harmonics_s2_jacobian(4, _random_s2(7, 1), tables=basis.tables)
+        with pytest.raises(InvalidParameterError):
+            sph_harmonics_s2_jacobian(5, _random_s2(6, 1), tables=basis.tables)
+
+
 class TestHarmonics:
     def test_addition_theorem(self):
         # sum_k Y_{l,k}(x) Y_{l,k}(y) = (2l+1) P_l(x . y)

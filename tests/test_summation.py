@@ -40,6 +40,18 @@ def test_order_determinism():
     assert comp_sum(x) == comp_sum(x.copy())
 
 
+def test_axis_sums_each_row_alone():
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((3, 4, 1500)) * 10.0 ** rng.integers(
+        -8, 8, (3, 4, 1500))
+    for axis in (0, 1, 2, -1):
+        got = comp_sum(x, axis=axis)
+        rows = np.moveaxis(x, axis, -1)
+        assert got.shape == rows.shape[:-1]
+        assert all(got[i] == comp_sum(rows[i]) for i in np.ndindex(got.shape))
+    assert np.array_equal(comp_sum(np.zeros((4, 0)), axis=1), np.zeros(4))
+
+
 def test_comp_dot():
     rng = np.random.default_rng(5)
     a = rng.standard_normal(3000)
