@@ -135,8 +135,10 @@ def build_parser():
     g.add_argument("--symmetric", action="store_true")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--restarts", type=int, default=5)
-    g.add_argument("--psi", choices=list(criteria.KINDS), default=None)
-    g.add_argument("--method", choices=["lm", "grad"], default=None)
+    g.add_argument("--psi", choices=list(criteria.KINDS), default=None,
+                   help="criterion of --method grad")
+    g.add_argument("--method", choices=["lm", "grad"], default=None,
+                   help="lm (d = 2 only; the default there) or grad")
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen)
 

@@ -4,9 +4,10 @@ Two engines are provided.  For S^2 a Levenberg-Marquardt iteration on
 the weighted Weyl-sum residual, with the search direction solving
 (A^T D A + nu I) p = -A^T D r.  For any dimension a bound-constrained
 limited-memory quasi-Newton minimization of the variational value V.
-A multi-start driver runs several seeded starts and keeps, among the
-runs that reach the design tolerance, the one with the smallest mesh
-ratio.
+
+generate_design runs seeded start plans, antipodal ones first, through
+one loop and keeps, among the runs that reach the design tolerance, the
+one with the smallest mesh ratio.
 """
 
 from dataclasses import dataclass
@@ -20,30 +21,38 @@ from . import bounds as bounds_mod
 from . import criteria, geometry
 from .criteria import make_psi, PSI2, PSI3
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import (PointSet, ParamVector, TWO_PI, n_free, normalize_pointset,
+from .pointset import (PointSet, ParamVector, TWO_PI, normalize_pointset,
                        param_to_points, points_to_param)
 
 CLASS_DESIGN = "design-within-tolerance"
 CLASS_LOCAL = "local-minimum-positive"
 
+_LM_NU0 = 1e-2
+_LM_NU_UP = 10.0
+_LM_NU_DOWN = 0.3
+_GRAD_MAX_ITERATIONS = 4000  # quasi-Newton iterations per sweep
+_GRADIENT_TOLERANCE = 1e-13
+_V_TOL = 5e-15               # relative to psi(1)
+_HOP_SIGMAS = (0.02, 0.05, 0.12)
+_MAX_HOPS = 12
+_HOP_STALE_LIMIT = 6
+_STALL_WINDOW = 40
+_STALL_FACTOR = 1.01
+_RHO_REFINE = 1.85
+_REFINE_TICKETS = 18
+
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_iterations: int = 400        # LM iterations
-    grad_max_iterations: int = 4000  # quasi-Newton iterations
-    gradient_tolerance: float = 1e-13
-    v_tol: float = 5e-15             # relative to psi(1)
-    r_tol: Optional[float] = None    # default 1e-25 * N^2
-    lm_nu0: float = 1e-2
-    lm_nu_up: float = 10.0
-    lm_nu_down: float = 0.3
+    max_iterations: int = 400  # LM iterations per solve
     restarts: int = 5
     seed: int = 0
 
-    def r_tolerance(self, N):
-        # at this level every scaled Weyl sum |r|/N is below 3.2e-13,
-        # so a converged solve also passes design verification
-        return 1e-25 * N * N if self.r_tol is None else self.r_tol
+
+def _r_tolerance(N):
+    # at this level every scaled Weyl sum |r|/N is below 3.2e-13, so a
+    # converged solve also passes design verification
+    return 1e-25 * N * N
 
 
 @dataclass
@@ -147,31 +156,38 @@ def _pack(X0):
     return points_to_param(Xn)
 
 
-def _clip_wrap(p, values):
-    """Project a trial step back into the angle box."""
+def _moved(p, values):
+    """p with new angles, projected back into the angle box."""
     out = np.array(values)
     azim = p.upper > np.pi + 1e-9
     out[azim] = np.mod(out[azim], TWO_PI)
     np.clip(out, p.lower, p.upper, out=out)
-    return out
+    return ParamVector(d=p.d, N=p.N, symmetric=p.symmetric, values=out)
 
 
-def _make_result(X, t, iterations, opts):
+def _kick(X, rng, sigma):
+    """X with Gaussian noise of strength sigma on its packed angles."""
+    p = _pack(X)
+    return param_to_points(
+        _moved(p, p.values + rng.normal(0.0, sigma, p.values.size)))
+
+
+def _make_result(X, t, iterations):
     """Build a SolveResult, deciding convergence from the final Weyl
     sums (d = 2) or variational values (d > 2)."""
     result = SolveResult(pointset=X, converged=False, rtr=float("nan"),
                          iterations=iterations, geometry=None, t=t)
     if X.d == 2:
         result.rtr = criteria.weyl_residual(X, t).rtr
-        result.converged = result.rtr <= opts.r_tolerance(X.N)
+        result.converged = result.rtr <= _r_tolerance(X.N)
     else:
         result.converged = all(
-            abs(v) <= opts.v_tol * make_psi(k, X.d, t).psi_at_1
+            abs(v) <= _V_TOL * make_psi(k, X.d, t).psi_at_1
             for v, k in zip(result.variational, criteria.KINDS))
     return result
 
 
-def minimize_variational(X0, spec, opts=SolveOptions()):
+def minimize_variational(X0, spec):
     """Bound-constrained quasi-Newton minimization of V over the packed
     angles.  Accepted iterates never increase V; the result is
     re-normalized before reporting."""
@@ -179,35 +195,30 @@ def minimize_variational(X0, spec, opts=SolveOptions()):
         raise InvalidDimensionError("point set and psi dimension differ")
     p0 = _pack(X0)
     if p0.values.size == 0:
-        X = param_to_points(p0)
-        return _make_result(X, spec.t, 0, opts)
-    target = opts.v_tol * spec.psi_at_1
+        return _make_result(param_to_points(p0), spec.t, 0)
 
     def fun(values):
-        p = ParamVector(d=p0.d, N=p0.N, symmetric=p0.symmetric,
-                        values=_clip_wrap(p0, values))
-        return criteria.variational_value_and_param_gradient(p, spec)
+        return criteria.variational_value_and_param_gradient(
+            _moved(p0, values), spec)
 
-    bnds = list(zip(p0.lower, p0.upper))
-    res = minimize(fun, p0.values, jac=True, method="L-BFGS-B", bounds=bnds,
-                   options={"maxiter": opts.grad_max_iterations,
-                            "maxfun": 4 * opts.grad_max_iterations,
-                            "ftol": 1e-18, "gtol": opts.gradient_tolerance})
+    def sweep(x0):
+        return minimize(fun, x0, jac=True, method="L-BFGS-B",
+                        bounds=list(zip(p0.lower, p0.upper)),
+                        options={"maxiter": _GRAD_MAX_ITERATIONS,
+                                 "maxfun": 4 * _GRAD_MAX_ITERATIONS,
+                                 "ftol": 1e-18, "gtol": _GRADIENT_TOLERANCE})
+
+    res = sweep(p0.values)
     best = res.x
     its = int(res.nit)
     # a restarted second sweep often gains a few orders of magnitude
-    if res.fun > target:
-        res2 = minimize(fun, res.x, jac=True, method="L-BFGS-B", bounds=bnds,
-                        options={"maxiter": opts.grad_max_iterations,
-                                 "maxfun": 4 * opts.grad_max_iterations,
-                                 "ftol": 1e-18, "gtol": opts.gradient_tolerance})
+    if res.fun > _V_TOL * spec.psi_at_1:
+        res2 = sweep(res.x)
         if res2.fun <= res.fun:
             best = res2.x
         its += int(res2.nit)
-    p = ParamVector(d=p0.d, N=p0.N, symmetric=p0.symmetric,
-                    values=_clip_wrap(p0, best))
-    X, _ = normalize_pointset(param_to_points(p))
-    return _make_result(X, spec.t, its, opts)
+    X, _ = normalize_pointset(param_to_points(_moved(p0, best)))
+    return _make_result(X, spec.t, its)
 
 
 def _lsq_residual(p, t, spec):
@@ -233,11 +244,11 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
         raise InvalidParameterError("symmetric solve needs a symmetric start")
     spec = make_psi(PSI3, 2, t) if weights == "psi3_constant" else weights
     p = _pack(X0)
-    r_tol = opts.r_tolerance(X0.N)
+    r_tol = _r_tolerance(X0.N)
     X, res = _lsq_residual(p, t, spec)
     w = res.weights
     f = float(np.dot(w * res.r, res.r))
-    nu = opts.lm_nu0
+    nu = _LM_NU0
     its = 0
     f_hist = [f]
     eye = np.eye(p.values.size)
@@ -252,7 +263,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
             break
         A = criteria.weyl_jacobian(X, t, res)
         g = A.T @ (w * res.r)
-        if np.max(np.abs(2.0 * g)) <= opts.gradient_tolerance and nu > 1e10:
+        if np.max(np.abs(2.0 * g)) <= _GRADIENT_TOLERANCE and nu > 1e10:
             break
         B = A.T @ (w[:, None] * A)
         stepped = False
@@ -260,114 +271,50 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
             try:
                 direction = np.linalg.solve(B + nu * eye, -g)
             except np.linalg.LinAlgError:
-                nu *= opts.lm_nu_up
+                nu *= _LM_NU_UP
                 continue
-            trial_values = _clip_wrap(p, p.values + direction)
-            trial = ParamVector(d=p.d, N=p.N, symmetric=p.symmetric,
-                                values=trial_values)
+            trial = _moved(p, p.values + direction)
             Xt, rest = _lsq_residual(trial, t, spec)
             ft = float(np.dot(w * rest.r, rest.r))
             if ft < f:
                 p, X, res, f = trial, Xt, rest, ft
-                nu = max(nu * opts.lm_nu_down, 1e-14)
+                nu = max(nu * _LM_NU_DOWN, 1e-14)
                 stepped = True
                 break
-            nu *= opts.lm_nu_up
+            nu *= _LM_NU_UP
             if nu > 1e14:
                 break
         its += 1
         f_hist.append(f)
         if not stepped:
             break
-    return _make_result(X, t, its, opts)
+    return _make_result(X, t, its)
 
 
-def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
-                    method=None, psi=None):
-    """Multi-start pipeline: default N, seeded starts, solve, verify,
-    keep the converged run with the smallest mesh ratio.
+def solve_lsq_with_hops(X0, t, symmetric=False, opts=SolveOptions(), seed=0,
+                        hops=_MAX_HOPS):
+    """solve_lsq with local-minimum escapes.
 
-    For d = 2 a stalled least-squares run escapes its local minimum by
-    perturbation hops; if no start converges and t is odd with even N,
-    an antipodal configuration is tried, which satisfies every odd
-    degree structurally.
+    A stalled run is kicked (strength cycling through _HOP_SIGMAS) and
+    re-solved; a trial is kept when it converges or improves the
+    residual.  The hops end at convergence, after `hops` trials, or
+    after _HOP_STALE_LIMIT rejected trials in a row.
     """
-    if t < 1:
-        raise InvalidParameterError("t must be >= 1")
-    if symmetric and t % 2 == 0:
-        raise InvalidParameterError("symmetric designs target odd t")
-    if N is None:
-        N = bounds_mod.n_default(d, t, symmetric)
-    if method is None:
-        method = "lm" if d == 2 else "grad"
-    best = None
-    best_any = None
-    if d == 2 and method == "lm" and not symmetric and t % 2 == 1 \
-            and N % 2 == 0:
-        # antipodal candidates satisfy every odd degree structurally,
-        # leaving an even-degree system with slack; they rescue degrees
-        # where the general search stalls and also compete on mesh
-        # ratio.  Each solve is cheap, so several seeds are scanned.
-        for k in range(4 * max(1, opts.restarts)):
-            seed = opts.seed + 4000037 * (k + 1)
-            X0 = initial_points(d, N, "symmetric_double", seed)
-            result = solve_lsq_with_hops(X0, t, symmetric=True, opts=opts,
-                                         seed=seed + 1)
-            if result.converged:
-                # the expanded points are those the solve's final Weyl
-                # sums already ran over, so rtr and convergence stand
-                result.pointset = result.pointset.expand()
-                result.geometry = geometry.mesh_ratio(result.pointset,
-                                                      accuracy=1e-4)
-                if best is None or result.geometry.rho < best.geometry.rho:
-                    best = result
-    for k in range(max(1, opts.restarts)):
-        seed = opts.seed + 1000003 * k
-        if symmetric:
-            X0 = initial_points(d, N, "symmetric_double", seed)
-        elif d == 2 and k == 0:
-            X0 = initial_points(d, N, "equal_area_spiral", seed)
-        elif d == 2 and k == 1:
-            X0 = initial_points(d, N, "fibonacci", seed)
+    result = solve_lsq(X0, t, symmetric=symmetric, opts=opts)
+    rng = np.random.default_rng(seed)
+    stale = 0
+    for k in range(hops):
+        if result.converged or stale >= _HOP_STALE_LIMIT:
+            break
+        trial = solve_lsq(
+            _kick(result.pointset, rng, _HOP_SIGMAS[k % len(_HOP_SIGMAS)]),
+            t, symmetric=symmetric, opts=opts)
+        if trial.converged or _obj(trial) < _obj(result):
+            trial.iterations += result.iterations
+            result = trial
+            stale = 0
         else:
-            X0 = initial_points(d, N, "random_uniform", seed)
-        result = _run_one(X0, d, t, symmetric, opts, method, psi,
-                          hop_seed=seed + 1,
-                          hops=_MAX_HOPS if best is None else 2)
-        if best_any is None or _obj(result) < _obj(best_any):
-            best_any = result
-        if result.converged:
-            if result.geometry is None:
-                result.geometry = geometry.mesh_ratio(result.pointset,
-                                                      accuracy=1e-4)
-            if best is None or result.geometry.rho < best.geometry.rho:
-                best = result
-    if best is not None and d == 2 and method == "lm" \
-            and best.geometry.rho > _RHO_REFINE:
-        # the accepted design sits in a poorly covered basin; nearby
-        # basins reached by gentle kicks often have a better mesh ratio
-        rng = np.random.default_rng(opts.seed + 777)
-        for ticket in range(_REFINE_TICKETS):
-            if best.geometry.rho <= _RHO_REFINE:
-                break
-            p = _pack(best.pointset)
-            kicked = ParamVector(
-                d=p.d, N=p.N, symmetric=p.symmetric,
-                values=_clip_wrap(p, p.values + rng.normal(
-                    0.0, _HOP_SIGMAS[0], p.values.size)))
-            trial = solve_lsq(param_to_points(kicked), t,
-                              symmetric=p.symmetric, opts=opts)
-            if trial.converged:
-                trial.geometry = geometry.mesh_ratio(trial.pointset,
-                                                     accuracy=1e-4)
-                if trial.geometry.rho < best.geometry.rho:
-                    best = trial
-    result = best if best is not None else best_any
-    if result.geometry is None:
-        result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
-    # the returned design alone gets its variational values, here
-    # rather than at the caller's first read
-    result.variational  # noqa: B018
+            stale += 1
     return result
 
 
@@ -376,57 +323,102 @@ def _obj(result):
         abs(result.v1), abs(result.v2), abs(result.v3))
 
 
-_HOP_SIGMAS = (0.02, 0.05, 0.12)
-_MAX_HOPS = 12
-_STALL_WINDOW = 40
-_STALL_FACTOR = 1.01
-_RHO_REFINE = 1.85
-_REFINE_TICKETS = 18
-_HOP_STALE_LIMIT = 6
-
-
-def solve_lsq_with_hops(X0, t, symmetric=False, weights="psi3_constant",
-                        opts=SolveOptions(), seed=0, hops=_MAX_HOPS):
-    """solve_lsq with local-minimum escapes.
-
-    A stalled run is perturbed by a Gaussian kick on the packed angles
-    (strength cycling through _HOP_SIGMAS) and re-solved; a trial is
-    kept when it converges or improves the residual.
-    """
-    result = solve_lsq(X0, t, symmetric=symmetric, weights=weights, opts=opts)
-    if result.converged or hops <= 0:
+def _scored(result, best):
+    """The better of two candidates: result if it converged with a lower
+    mesh ratio than best (or best is None), else best, so the earlier
+    candidate wins ties.  A converged result gets its geometry."""
+    if not result.converged:
+        return best
+    result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+    if best is None or result.geometry.rho < best.geometry.rho:
         return result
-    rng = np.random.default_rng(seed)
-    stale = 0
-    for k in range(hops):
-        if result.converged:
-            break
-        sigma = _HOP_SIGMAS[k % len(_HOP_SIGMAS)]
-        p = _pack(result.pointset)
-        kicked = ParamVector(
-            d=p.d, N=p.N, symmetric=p.symmetric,
-            values=_clip_wrap(p, p.values + rng.normal(0.0, sigma,
-                                                       p.values.size)))
-        trial = solve_lsq(param_to_points(kicked), t, symmetric=symmetric,
-                          weights=weights, opts=opts)
-        if trial.converged or _obj(trial) < _obj(result):
-            trial.iterations += result.iterations
-            result = trial
-            stale = 0
+    return best
+
+
+def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
+                    method=None, psi=None):
+    """Multi-start pipeline: default N, seeded starts, solve, verify,
+    keep the converged run with the smallest mesh ratio.
+
+    method "lm" is Levenberg-Marquardt with hops (d = 2 only, the
+    default there); "grad" is quasi-Newton descent on the variational
+    value of psi (default psi3, psi2 on S^2).  The start plans run in
+    this order, the earlier winning ties on mesh ratio:
+
+    - antipodal ("lm", odd t, even N, not symmetric): 4 * restarts
+      mirrored random starts, solved for the N/2 representatives with
+      _MAX_HOPS hops, then expanded.  They satisfy every odd degree
+      structurally, which leaves an even-degree system with slack.
+    - general: `restarts` starts (spiral, golden-angle lattice, then
+      random on S^2; random for d > 2; mirrored random if symmetric),
+      with _MAX_HOPS hops while no plan has converged, then 2.
+
+    If none converges, the general run with the lowest residual is
+    returned.  With "lm" a refine pass re-solves gently kicked copies
+    of the winner while its mesh ratio exceeds _RHO_REFINE.
+    """
+    if t < 1:
+        raise InvalidParameterError("t must be >= 1")
+    if symmetric and t % 2 == 0:
+        raise InvalidParameterError("symmetric designs target odd t")
+    if method is None:
+        method = "lm" if d == 2 else "grad"
+    if method not in ("lm", "grad"):
+        raise InvalidParameterError("unknown method %r" % (method,))
+    if method == "lm" and d != 2:
+        raise InvalidDimensionError("method 'lm' requires d = 2")
+    if method == "lm" and psi is not None:
+        raise InvalidParameterError("psi applies to method 'grad' only")
+    if N is None:
+        N = bounds_mod.n_default(d, t, symmetric)
+    restarts = max(1, opts.restarts)
+    plans = []
+    if method == "lm" and not symmetric and t % 2 == 1 and N % 2 == 0:
+        plans += [("symmetric_double", opts.seed + 4000037 * (k + 1), True)
+                  for k in range(4 * restarts)]
+    for k in range(restarts):
+        if symmetric:
+            kind = "symmetric_double"
+        elif d == 2 and k < 2:
+            kind = ("equal_area_spiral", "fibonacci")[k]
         else:
-            stale += 1
-            if stale >= _HOP_STALE_LIMIT:
+            kind = "random_uniform"
+        plans.append((kind, opts.seed + 1000003 * k, False))
+    if method == "grad":
+        spec = make_psi(psi if psi is not None else (PSI3 if d > 2 else PSI2),
+                        d, t)
+    best = None
+    best_any = None
+    for kind, seed, antipodal in plans:
+        X0 = initial_points(d, N, kind, seed)
+        if method == "lm":
+            result = solve_lsq_with_hops(
+                X0, t, symmetric=symmetric or antipodal, opts=opts,
+                seed=seed + 1,
+                hops=_MAX_HOPS if antipodal or best is None else 2)
+        else:
+            result = minimize_variational(X0, spec)
+        if antipodal:
+            # the expanded points are those the solve's final Weyl sums
+            # already ran over, so rtr and convergence stand
+            result.pointset = result.pointset.expand()
+        elif best_any is None or _obj(result) < _obj(best_any):
+            best_any = result
+        best = _scored(result, best)
+    if method == "lm" and best is not None:
+        # the accepted design may sit in a poorly covered basin; nearby
+        # basins reached by gentle kicks often have a better mesh ratio
+        rng = np.random.default_rng(opts.seed + 777)
+        for _ in range(_REFINE_TICKETS):
+            if best.geometry.rho <= _RHO_REFINE:
                 break
+            trial = solve_lsq(_kick(best.pointset, rng, _HOP_SIGMAS[0]), t,
+                              symmetric=best.pointset.symmetric, opts=opts)
+            best = _scored(trial, best)
+    result = best if best is not None else best_any
+    if result.geometry is None:
+        result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+    # the returned design alone gets its variational values, here
+    # rather than at the caller's first read
+    result.variational  # noqa: B018
     return result
-
-
-def _run_one(X0, d, t, symmetric, opts, method, psi=None, hop_seed=None,
-             hops=_MAX_HOPS):
-    if d == 2 and method == "lm":
-        if hop_seed is None:
-            return solve_lsq(X0, t, symmetric=symmetric, opts=opts)
-        return solve_lsq_with_hops(X0, t, symmetric=symmetric, opts=opts,
-                                   seed=hop_seed, hops=hops)
-    kind = psi if psi is not None else (PSI3 if d > 2 else PSI2)
-    spec = make_psi(kind, d, t)
-    return minimize_variational(X0, spec, opts)

@@ -146,6 +146,16 @@ class TestGen:
             outputs.append(out_file.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_lm_on_s3_is_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "d3.txt"
+        code = main(["gen", "--d", "3", "--t", "2", "--method", "lm",
+                     "-o", str(out_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not out_file.exists()
+
     def test_symmetric_gen(self, tmp_path, capsys):
         out_file = str(tmp_path / "sym.txt")
         code = main(["gen", "--d", "2", "--t", "3", "--symmetric",

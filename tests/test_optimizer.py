@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from sphdesign.criteria import PSI2, PSI3, make_psi, variational_value
+from sphdesign import bounds as bounds_mod
+from sphdesign import geometry
+from sphdesign.criteria import PSI1, PSI2, PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (CLASS_DESIGN, CLASS_LOCAL, SolveOptions,
-                                 generate_design, initial_points,
+                                 _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
+                                 _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
+                                 _pack, generate_design, initial_points,
                                  minimize_variational, solve_lsq)
+from sphdesign.pointset import (ParamVector, TWO_PI, is_normalized,
+                                param_to_points)
 from sphdesign.quadrature import verify_design
 
 
@@ -90,8 +96,7 @@ class TestVariationalDescent:
 
     def test_descent_reaches_design_on_s2(self):
         X0 = initial_points(2, 8, "random_uniform", seed=1)
-        res = minimize_variational(X0, make_psi(PSI2, 2, 3),
-                                   SolveOptions(restarts=1))
+        res = minimize_variational(X0, make_psi(PSI2, 2, 3))
         assert abs(res.v2) < 1e-13
 
     def test_dimension_mismatch(self):
@@ -139,3 +144,176 @@ class TestGenerate:
         assert res.converged
         assert res.pointset.N == 7
         assert verify_design(res.pointset, 2).is_design
+
+    def test_lm_needs_s2(self):
+        with pytest.raises(InvalidDimensionError):
+            generate_design(3, 2, method="lm")
+
+    def test_psi_needs_grad(self):
+        with pytest.raises(InvalidParameterError):
+            generate_design(2, 3, psi=PSI1)
+        with pytest.raises(InvalidParameterError):
+            generate_design(2, 3, method="lm", psi=PSI1)
+
+    def test_unknown_method(self):
+        with pytest.raises(InvalidParameterError):
+            generate_design(2, 3, method="newton")
+
+    def test_antipodal_candidate(self):
+        # t = 5 with N = 18 runs antipodal plans first; a winning one is
+        # returned expanded, with the geometry of the expanded set
+        res = generate_design(2, 5)
+        X = res.pointset
+        assert res.converged and X.N == 18 and not X.symmetric
+        assert res.geometry == geometry.mesh_ratio(X, accuracy=1e-4)
+        # with one restart an antipodal plan wins at seed 0
+        res = generate_design(2, 5, opts=SolveOptions(restarts=1))
+        X = res.pointset
+        assert res.converged and X.N == 18 and not X.symmetric
+        assert np.array_equal(X.coords[9:], -X.coords[:9])
+        assert res.geometry == geometry.mesh_ratio(X, accuracy=1e-4)
+
+
+class TestKick:
+    @pytest.mark.parametrize("d, N, symmetric", [(2, 14, False),
+                                                 (2, 12, True),
+                                                 (3, 9, False)])
+    def test_shape_and_repeatability(self, d, N, symmetric):
+        kind = "symmetric_double" if symmetric else "random_uniform"
+        X = initial_points(d, N, kind, seed=2)
+        a = _kick(X, np.random.default_rng(5), 0.05)
+        b = _kick(X, np.random.default_rng(5), 0.05)
+        assert a.N == N and a.symmetric == symmetric
+        assert is_normalized(a)
+        for j in range(min(a.coords.shape[0], d + 1)):
+            assert np.all(a.coords[j, j + 1:] == 0.0)
+        assert np.array_equal(a.coords, b.coords)
+        c = _kick(X, np.random.default_rng(6), 0.05)
+        assert not np.array_equal(a.coords, c.coords)
+
+
+# --- the driver as it was written before its start loop was unified:
+# the antipodal scan, the general restarts with hops and the refine pass
+# as three loops, each with its own kick; kept as an oracle
+
+
+def _clip_wrap_reference(p, values):
+    out = np.array(values)
+    azim = p.upper > np.pi + 1e-9
+    out[azim] = np.mod(out[azim], TWO_PI)
+    np.clip(out, p.lower, p.upper, out=out)
+    return out
+
+
+def _hops_reference(X0, t, symmetric, opts, seed, hops):
+    result = solve_lsq(X0, t, symmetric=symmetric, opts=opts)
+    if result.converged or hops <= 0:
+        return result
+    rng = np.random.default_rng(seed)
+    stale = 0
+    for k in range(hops):
+        if result.converged:
+            break
+        sigma = _HOP_SIGMAS[k % len(_HOP_SIGMAS)]
+        p = _pack(result.pointset)
+        kicked = ParamVector(
+            d=p.d, N=p.N, symmetric=p.symmetric,
+            values=_clip_wrap_reference(
+                p, p.values + rng.normal(0.0, sigma, p.values.size)))
+        trial = solve_lsq(param_to_points(kicked), t, symmetric=symmetric,
+                          opts=opts)
+        if trial.converged or _obj(trial) < _obj(result):
+            trial.iterations += result.iterations
+            result = trial
+            stale = 0
+        else:
+            stale += 1
+            if stale >= _HOP_STALE_LIMIT:
+                break
+    return result
+
+
+def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
+    if N is None:
+        N = bounds_mod.n_default(d, t, symmetric)
+    method = "lm" if d == 2 else "grad"
+    best = None
+    best_any = None
+    if d == 2 and not symmetric and t % 2 == 1 and N % 2 == 0:
+        for k in range(4 * max(1, opts.restarts)):
+            seed = opts.seed + 4000037 * (k + 1)
+            X0 = initial_points(d, N, "symmetric_double", seed)
+            result = _hops_reference(X0, t, True, opts, seed + 1, _MAX_HOPS)
+            if result.converged:
+                result.pointset = result.pointset.expand()
+                result.geometry = geometry.mesh_ratio(result.pointset,
+                                                      accuracy=1e-4)
+                if best is None or result.geometry.rho < best.geometry.rho:
+                    best = result
+    for k in range(max(1, opts.restarts)):
+        seed = opts.seed + 1000003 * k
+        if symmetric:
+            X0 = initial_points(d, N, "symmetric_double", seed)
+        elif d == 2 and k == 0:
+            X0 = initial_points(d, N, "equal_area_spiral", seed)
+        elif d == 2 and k == 1:
+            X0 = initial_points(d, N, "fibonacci", seed)
+        else:
+            X0 = initial_points(d, N, "random_uniform", seed)
+        if method == "lm":
+            result = _hops_reference(X0, t, symmetric, opts, seed + 1,
+                                     _MAX_HOPS if best is None else 2)
+        else:
+            result = minimize_variational(X0, make_psi(PSI3, d, t))
+        if best_any is None or _obj(result) < _obj(best_any):
+            best_any = result
+        if result.converged:
+            result.geometry = geometry.mesh_ratio(result.pointset,
+                                                  accuracy=1e-4)
+            if best is None or result.geometry.rho < best.geometry.rho:
+                best = result
+    if best is not None and method == "lm" \
+            and best.geometry.rho > _RHO_REFINE:
+        rng = np.random.default_rng(opts.seed + 777)
+        for _ in range(_REFINE_TICKETS):
+            if best.geometry.rho <= _RHO_REFINE:
+                break
+            p = _pack(best.pointset)
+            kicked = ParamVector(
+                d=p.d, N=p.N, symmetric=p.symmetric,
+                values=_clip_wrap_reference(p, p.values + rng.normal(
+                    0.0, _HOP_SIGMAS[0], p.values.size)))
+            trial = solve_lsq(param_to_points(kicked), t,
+                              symmetric=p.symmetric, opts=opts)
+            if trial.converged:
+                trial.geometry = geometry.mesh_ratio(trial.pointset,
+                                                     accuracy=1e-4)
+                if trial.geometry.rho < best.geometry.rho:
+                    best = trial
+    result = best if best is not None else best_any
+    if result.geometry is None:
+        result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+    return result
+
+
+class TestDriverAgainstLoops:
+    @pytest.mark.parametrize("d, t, kwargs, seed, restarts", [
+        (2, 2, {}, 0, 5), (2, 2, {}, 3, 5),
+        (2, 3, {}, 0, 5), (2, 3, {}, 3, 5),
+        (2, 4, {}, 0, 5),  # rho 1.83 after one refine ticket
+        (2, 8, {}, 2, 2),  # the 2 hops of a start after a convergence
+        (2, 5, {}, 0, 5), (2, 5, {}, 3, 5),
+        (2, 3, {"symmetric": True}, 0, 5),
+        (2, 3, {"N": 3}, 0, 2),
+        (3, 2, {}, 0, 2),
+    ])
+    def test_bitwise_equal(self, d, t, kwargs, seed, restarts):
+        opts = SolveOptions(seed=seed, restarts=restarts)
+        new = generate_design(d, t, opts=opts, **kwargs)
+        ref = _generate_reference(d, t, opts=opts, **kwargs)
+        assert np.array_equal(new.pointset.coords, ref.pointset.coords)
+        assert new.pointset.symmetric == ref.pointset.symmetric
+        assert new.iterations == ref.iterations
+        assert new.converged == ref.converged
+        assert np.array_equal(new.rtr, ref.rtr, equal_nan=True)
+        assert new.geometry.rho == ref.geometry.rho
