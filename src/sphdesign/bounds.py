@@ -46,6 +46,12 @@ def n_plus(d, t):
         raise InvalidDimensionError("d must be >= 1")
     if t < 1:
         raise InvalidParameterError("t must be >= 1")
+    if d == 1:
+        # P_t^(1/2,1/2) is a multiple of the Chebyshev polynomial U_t,
+        # whose largest zero is cos(pi/(t+1)): the cap is an arc of
+        # length pi/(t+1), a (t+1)-th of the circle.  The ratio from a
+        # computed zero, pi/arccos(gamma), loses digits as gamma nears 1
+        return t + 1
     alpha = 0.5 * (d - 2.0)
     gamma = specfun.jacobi_largest_zero(alpha + 1.0, alpha + 1.0, t)
     if d == 2:

@@ -20,7 +20,7 @@ import numpy as np
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import PointSet, ParamVector, _free_slots, _require_normalized, \
-    n_free, param_jacobian_point, param_to_points
+    _slot_jacobian, n_free, param_to_points
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -148,20 +148,36 @@ def _gram(coords):
     return g
 
 
+def _expanded_gram(X, spec):
+    """Expanded coordinates of X and their clipped Gram matrix."""
+    if X.d != spec.d:
+        raise InvalidDimensionError("point set and psi dimension differ")
+    coords = X.expanded()
+    return coords, _gram(coords)
+
+
+def _value_from_gram(g, spec):
+    vals = psi_eval(spec, g)
+    np.fill_diagonal(vals, spec.psi_at_1)
+    N = g.shape[0]
+    return comp_sum(vals) / (N * N)
+
+
+def _gradient_from_gram(g, coords, spec):
+    w = psi_deriv(spec, g)
+    np.fill_diagonal(w, 0.0)
+    N = g.shape[0]
+    return (2.0 / (N * N)) * (w @ coords)
+
+
 def variational_value(X, spec):
     """V = (1/N^2) sum_{i,j} psi(x_i . x_j), compensated summation.
 
     The diagonal uses the analytic value psi(1) instead of evaluating
     the polynomial at a rounded inner product.
     """
-    if X.d != spec.d:
-        raise InvalidDimensionError("point set and psi dimension differ")
-    coords = X.expanded()
-    N = coords.shape[0]
-    g = _gram(coords)
-    vals = psi_eval(spec, g)
-    np.fill_diagonal(vals, spec.psi_at_1)
-    return comp_sum(vals) / (N * N)
+    _, g = _expanded_gram(X, spec)
+    return _value_from_gram(g, spec)
 
 
 def variational_gradient(X, spec):
@@ -170,34 +186,31 @@ def variational_gradient(X, spec):
     Returns an (N, d+1) array with row k equal to
     (2/N^2) sum_{i != k} psi'(x_i . x_k) x_i.
     """
-    if X.d != spec.d:
-        raise InvalidDimensionError("point set and psi dimension differ")
-    coords = X.expanded()
-    N = coords.shape[0]
-    g = _gram(coords)
-    w = psi_deriv(spec, g)
-    np.fill_diagonal(w, 0.0)
-    return (2.0 / (N * N)) * (w @ coords)
+    coords, g = _expanded_gram(X, spec)
+    return _gradient_from_gram(g, coords, spec)
 
 
 def variational_value_and_param_gradient(p, spec):
-    """V and its gradient w.r.t. the packed free angles of p."""
+    """V and its gradient w.r.t. the packed free angles of p.
+
+    One Gram matrix serves both; the bits equal variational_value and a
+    per-slot np.dot of param_jacobian_point rows with the Cartesian
+    gradient.
+    """
     X = param_to_points(p)
-    v = variational_value(X, spec)
-    gcart = variational_gradient(X, spec)
+    coords, g = _expanded_gram(X, spec)
+    v = _value_from_gram(g, spec)
+    gcart = _gradient_from_gram(g, coords, spec)
     reps = X.coords.shape[0]
     if p.symmetric:
         gcart = gcart[:reps] - gcart[reps:]
     rows, cols = _free_slots(p.d, reps)
     phi = np.zeros((reps, p.d))
     phi[rows, cols] = p.values
-    grad = np.empty(rows.size)
-    jac_cache = {}
-    for s, (j, i) in enumerate(zip(rows.tolist(), cols.tolist())):
-        if j not in jac_cache:
-            jac_cache[j] = param_jacobian_point(phi[j])
-        grad[s] = np.dot(jac_cache[j][i], gcart[j])
-    return v, grad
+    J = _slot_jacobian(phi, rows, cols)
+    # a stacked (1 x n) @ (n x 1) product is one ddot per slot, the
+    # same reduction as np.dot; einsum and row sums reassociate
+    return v, (J[:, None, :] @ gcart[rows][:, :, None]).ravel()
 
 
 @dataclass

@@ -104,8 +104,9 @@ def mesh_norm(X, accuracy=1e-6):
 
     Returns (h, 0.0).
     """
-    if accuracy < 1e-8:
-        raise InvalidParameterError("accuracy below 1e-8 is not supported")
+    if not (np.isfinite(accuracy) and accuracy >= 1e-8):
+        raise InvalidParameterError(
+            "accuracy must be finite and >= 1e-8, got %r" % (accuracy,))
     coords = X.expanded()
     N, w = coords.shape
     p = _nearest_hull_point(coords)

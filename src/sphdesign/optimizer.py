@@ -361,6 +361,8 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         raise InvalidParameterError("t must be >= 1")
     if symmetric and t % 2 == 0:
         raise InvalidParameterError("symmetric designs target odd t")
+    if opts.seed < 0:
+        raise InvalidParameterError("seed must be >= 0, got %d" % opts.seed)
     if method is None:
         method = "lm" if d == 2 else "grad"
     if method not in ("lm", "grad"):

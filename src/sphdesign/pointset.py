@@ -349,6 +349,41 @@ def read_pointset(path):
     return X
 
 
+def _slot_jacobian(phi, rows, cols):
+    """Derivatives dx_j/dphi_i of points w.r.t. single angles.
+
+    phi holds the (M, d) spherical angles of M points.  Row q of the
+    returned (S, d+1) array is the partial derivative of point rows[q]
+    with respect to its angle cols[q].  Entries are built with the
+    elementwise operations of the one-point formula, so every row is bit
+    for bit that of param_jacobian_point.
+    """
+    M, d = phi.shape
+    c = np.ones((M, d + 1))
+    c[:, :d] = np.cos(phi)
+    s = np.sin(phi)
+    # prefix[:, k] = prod_{m<k} sin(phi_m), built left to right
+    prefix = np.ones((M, d + 1))
+    np.cumprod(s, axis=1, out=prefix[:, 1:])
+    P = prefix[rows]
+    si = s[rows, cols]
+    ci = c[rows, cols]
+    # coordinates k > i depend on phi_i through sin(phi_i), coordinate i
+    # through cos(phi_i), the coordinates k < i not at all; the padded
+    # column of c is 1.0, so the last coordinate gets no cosine factor
+    zero = si == 0.0
+    J = (P / np.where(zero, 1.0, si)[:, None]) * ci[:, None] * c[rows]
+    k = np.arange(d + 1)
+    J[k < cols[:, None]] = 0.0
+    slot = np.arange(rows.size)
+    J[slot, cols] = -P[slot, cols] * si
+    for q in np.flatnonzero(zero):
+        j, i = rows[q], cols[q]
+        for m in range(i + 1, d + 1):
+            J[q, m] = prefix[j, i] * np.prod(s[j, i + 1:m]) * ci[q] * c[j, m]
+    return J
+
+
 def param_jacobian_point(phi):
     """Derivatives dx/dphi_i of one point w.r.t. its angles.
 
@@ -356,21 +391,5 @@ def param_jacobian_point(phi):
     point with respect to phi_i.
     """
     d = len(phi)
-    c = np.cos(phi)
-    s = np.sin(phi)
-    # prefix[i] = prod_{k<i} sin(phi_k)
-    prefix = np.empty(d + 1)
-    prefix[0] = 1.0
-    for i in range(d):
-        prefix[i + 1] = prefix[i] * s[i]
-    J = np.zeros((d, d + 1))
-    for i in range(d):
-        # coordinates j > i depend on phi_i through sin(phi_i);
-        # coordinate i depends through cos(phi_i)
-        J[i, i] = -prefix[i] * s[i]
-        for j in range(i + 1, d + 1):
-            tail = prefix[j] / s[i] if s[i] != 0.0 else (
-                prefix[i] * np.prod(s[i + 1:j]))
-            fac = c[j] if j < d else 1.0
-            J[i, j] = tail * c[i] * fac
-    return J
+    return _slot_jacobian(np.asarray(phi, dtype=float).reshape(1, d),
+                          np.zeros(d, dtype=int), np.arange(d))

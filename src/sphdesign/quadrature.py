@@ -83,6 +83,10 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     """
     if t_max < 1:
         raise InvalidParameterError("t_max must be >= 1")
+    # a NaN tolerance fails every comparison and would pass every degree
+    if not (np.isfinite(tolerance) and tolerance >= 0.0):
+        raise InvalidParameterError(
+            "tolerance must be finite and >= 0, got %r" % (tolerance,))
     v = [criteria.variational_value(X, criteria.make_psi(k, X.d, t_max))
          for k in criteria.KINDS]
     if X.d == 2:

@@ -1,6 +1,7 @@
 """Point-count bounds against published tables and direct oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -40,11 +41,13 @@ class TestLowerBounds:
     def test_n_plus_caps_cover_sphere(self):
         # the bound is area(S^d) / area(cap); recompute it with
         # scipy quadrature nodes as an independent largest-zero source
-        for d in (2, 3):
+        for d in (1, 2, 3):
             alpha = 0.5 * (d - 2.0)
             for t in (4, 9, 15, 30):
                 gamma = roots_jacobi(t, alpha + 1.0, alpha + 1.0)[0][-1]
-                if d == 2:
+                if d == 1:
+                    expect = math.pi / math.acos(gamma)
+                elif d == 2:
                     expect = 2.0 / (1.0 - gamma)
                 else:
                     from scipy.integrate import quad
@@ -52,6 +55,15 @@ class TestLowerBounds:
                     cap, _ = quad(lambda z: (1 - z * z) ** alpha, gamma, 1)
                     expect = total / cap
                 assert n_plus(d, t) == math.ceil(expect - 1e-9)
+
+    def test_n_plus_on_the_circle(self):
+        # the regular (t+1)-gon is a t-design, so a bound above t + 1
+        # is false; quadrature of the singular weight (1 - z^2)^(-1/2)
+        # warns and overshoots
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert [n_plus(1, t) for t in range(1, 1001)] == \
+                list(range(2, 1002))
 
     def test_invalid(self):
         with pytest.raises(InvalidDimensionError):

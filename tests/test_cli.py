@@ -86,6 +86,17 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: line 4: non-finite")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_invalid_tolerance(self, tmp_path, capsys, tol):
+        # three orthonormal points are no 1-design, but a NaN tolerance
+        # fails every comparison and would certify degree 1
+        path = tmp_path / "orth.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n")
+        assert main(["verify", str(path), "--t", "1", "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: tolerance")
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt"), "--t", "3"]) == 2
 
@@ -102,6 +113,13 @@ class TestGeom:
         assert "delta=1.5708" in out
         assert "h=0.9553" in out
         assert "rho=1.22" in out
+
+    @pytest.mark.parametrize("accuracy", ["nan", "inf"])
+    def test_non_finite_accuracy(self, octa_file, capsys, accuracy):
+        assert main(["geom", octa_file, "--accuracy", accuracy]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: accuracy")
 
     def test_non_finite_file(self, nan_file, capsys):
         assert main(["geom", nan_file]) == 2
@@ -130,21 +148,33 @@ class TestGen:
         assert open(a).read() == open(b).read()
 
     def test_blas_thread_count_determinism(self, tmp_path):
-        # separate processes, since BLAS reads its thread count at load
+        # separate processes, since BLAS reads its thread count at load;
+        # d = 2 runs Levenberg-Marquardt, d = 3 L-BFGS-B on pair sums
         src = os.path.dirname(os.path.dirname(sphdesign.__file__))
-        outputs = []
-        for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       OMP_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(
-                           [src, os.environ.get("PYTHONPATH", "")]))
-            out_file = tmp_path / ("threads%s.txt" % threads)
-            subprocess.run([sys.executable, "-m", "sphdesign.cli", "gen",
-                            "--d", "2", "--t", "3", "--seed", "0",
-                            "-o", str(out_file)],
-                           env=env, check=True, capture_output=True)
-            outputs.append(out_file.read_bytes())
-        assert outputs[0] == outputs[1]
+        for d, t in ((2, 3), (3, 2)):
+            outputs = []
+            for threads in ("1", "2"):
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           OMP_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join(
+                               [src, os.environ.get("PYTHONPATH", "")]))
+                out_file = tmp_path / ("d%d_threads%s.txt" % (d, threads))
+                subprocess.run([sys.executable, "-m", "sphdesign.cli", "gen",
+                                "--d", str(d), "--t", str(t), "--seed", "0",
+                                "-o", str(out_file)],
+                               env=env, check=True, capture_output=True)
+                outputs.append(out_file.read_bytes())
+            assert outputs[0] == outputs[1], "d=%d" % d
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out_file = tmp_path / "neg.txt"
+        code = main(["gen", "--d", "2", "--t", "2", "--seed", "-5000000",
+                     "-o", str(out_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: seed")
+        assert not out_file.exists()
 
     def test_lm_on_s3_is_usage_error(self, tmp_path, capsys):
         out_file = tmp_path / "d3.txt"

@@ -14,8 +14,9 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, make_psi,
                                 weyl_residual_reduced)
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
                               NotNormalizedError)
-from sphdesign.pointset import (ParamVector, PointSet, normalize_pointset,
-                                points_to_param)
+from sphdesign.pointset import (ParamVector, PointSet, _free_slots, n_free,
+                                normalize_pointset, param_jacobian_point,
+                                param_to_points, points_to_param)
 from sphdesign.specfun import dim_harmonic, legendre_norm
 
 
@@ -192,6 +193,76 @@ class TestGradients:
                 ParamVector(d=2, N=p.N, symmetric=symmetric, values=vm), spec)
             assert g[s] == pytest.approx((fp - fm) / (2.0 * h), rel=1e-5,
                                          abs=1e-8)
+
+
+def _value_and_param_gradient_loop(p, spec):
+    """Reference: two pair sums and a per-slot dot of point Jacobians,
+    the form the one-pass objective replaced."""
+    X = param_to_points(p)
+    v = variational_value(X, spec)
+    gcart = variational_gradient(X, spec)
+    reps = X.coords.shape[0]
+    if p.symmetric:
+        gcart = gcart[:reps] - gcart[reps:]
+    rows, cols = _free_slots(p.d, reps)
+    phi = np.zeros((reps, p.d))
+    phi[rows, cols] = p.values
+    grad = np.empty(rows.size)
+    for s, (j, i) in enumerate(zip(rows.tolist(), cols.tolist())):
+        grad[s] = np.dot(param_jacobian_point(phi[j])[i], gcart[j])
+    return v, grad
+
+
+class TestParamGradientOnePass:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_bitwise_equal_to_slot_loop(self, kind, d, symmetric):
+        rng = np.random.default_rng(d * 10 + KINDS.index(kind))
+        for N, t in [(2, 1), (6, 2), (12, 3), (21, 4) if not symmetric
+                     else (22, 5)]:
+            p0 = ParamVector(d=d, N=N, symmetric=symmetric,
+                             values=np.zeros(n_free(d, N, symmetric)))
+            spec = make_psi(kind, d, t)
+            random = rng.uniform(p0.lower, p0.upper)
+            mixed = random.copy()
+            pick = rng.random(random.size)
+            mixed[pick < 0.3] = 0.0
+            mixed[pick > 0.7] = p0.upper[pick > 0.7]
+            # angles at 0 give zero sines; all-upper sets pin pi and 2 pi
+            for values in (random, mixed, p0.lower, p0.upper):
+                p = ParamVector(d=d, N=N, symmetric=symmetric, values=values)
+                v, g = variational_value_and_param_gradient(p, spec)
+                v_ref, g_ref = _value_and_param_gradient_loop(p, spec)
+                assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
+                assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_param_gradient_fd(self, d, symmetric):
+        X = _random_set(d, 12, 7 + d, symmetric=symmetric)
+        Y, _ = normalize_pointset(X)
+        p = points_to_param(Y)
+        spec = make_psi(PSI3, d, 3)
+        _, g = variational_value_and_param_gradient(p, spec)
+        h = 1e-7
+        for s in range(p.values.size):
+            vp = p.values.copy()
+            vm = p.values.copy()
+            vp[s] += h
+            vm[s] -= h
+            fp, _ = variational_value_and_param_gradient(
+                ParamVector(d=d, N=p.N, symmetric=symmetric, values=vp), spec)
+            fm, _ = variational_value_and_param_gradient(
+                ParamVector(d=d, N=p.N, symmetric=symmetric, values=vm), spec)
+            assert g[s] == pytest.approx((fp - fm) / (2.0 * h), rel=1e-5,
+                                         abs=1e-8)
+
+    def test_mismatched_dimension(self):
+        p = ParamVector(d=3, N=5, symmetric=False,
+                        values=np.zeros(n_free(3, 5)))
+        with pytest.raises(InvalidDimensionError):
+            variational_value_and_param_gradient(p, make_psi(PSI1, 2, 3))
 
 
 class TestWeylResidual:

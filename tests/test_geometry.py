@@ -188,6 +188,12 @@ class TestMeshNorm:
         with pytest.raises(InvalidParameterError):
             mesh_norm(polytopes.octahedron(), accuracy=1e-9)
 
+    @pytest.mark.parametrize("accuracy", [float("nan"), float("inf")])
+    def test_non_finite_accuracy(self, accuracy):
+        # NaN fails the floor comparison, so it is rejected explicitly
+        with pytest.raises(InvalidParameterError):
+            mesh_norm(polytopes.octahedron(), accuracy=accuracy)
+
 
 class TestMeshRatio:
     def test_antipodal(self):

@@ -145,6 +145,10 @@ class TestGenerate:
         assert res.pointset.N == 7
         assert verify_design(res.pointset, 2).is_design
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParameterError):
+            generate_design(2, 2, opts=SolveOptions(seed=-5000000))
+
     def test_lm_needs_s2(self):
         with pytest.raises(InvalidDimensionError):
             generate_design(3, 2, method="lm")

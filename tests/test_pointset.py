@@ -14,7 +14,7 @@ from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
                               InvalidParameterError, NotNormalizedError,
                               ParseError)
 from sphdesign.pointset import (ParamVector, PointSet, _angles_to_points,
-                                geodesic_dist,
+                                _free_slots, _slot_jacobian, geodesic_dist,
                                 is_normalized, n_free, normalize_pointset,
                                 param_jacobian_point, param_to_points,
                                 points_to_param, read_pointset, surface_area,
@@ -322,3 +322,47 @@ class TestParamJacobian:
         x = _angles_to_points(phi[None])[0]
         J = param_jacobian_point(phi)
         assert np.allclose(J @ x, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_matches_scalar_loop(self, d):
+        # reference: the scalar double loop the vectorized form replaced,
+        # with angles at 0 and pi so the zero-sine fallback runs
+        def loop_jacobian(phi):
+            c, s = np.cos(phi), np.sin(phi)
+            prefix = np.empty(d + 1)
+            prefix[0] = 1.0
+            for i in range(d):
+                prefix[i + 1] = prefix[i] * s[i]
+            J = np.zeros((d, d + 1))
+            for i in range(d):
+                J[i, i] = -prefix[i] * s[i]
+                for j in range(i + 1, d + 1):
+                    tail = prefix[j] / s[i] if s[i] != 0.0 else (
+                        prefix[i] * np.prod(s[i + 1:j]))
+                    J[i, j] = tail * c[i] * (c[j] if j < d else 1.0)
+            return J
+
+        rng = np.random.default_rng(40 + d)
+        for _ in range(60):
+            phi = rng.uniform(0.0, np.pi, d)
+            pick = rng.random(d)
+            phi[pick < 0.2] = 0.0
+            phi[pick > 0.8] = np.pi
+            assert param_jacobian_point(phi).tobytes() == \
+                loop_jacobian(phi).tobytes()
+
+    @pytest.mark.parametrize("d,reps", [(2, 2), (2, 9), (3, 7), (4, 12),
+                                        (5, 5)])
+    def test_slot_rows_match_point_jacobians(self, d, reps):
+        rng = np.random.default_rng(d * reps)
+        rows, cols = _free_slots(d, reps)
+        phi = np.zeros((reps, d))
+        phi[rows, cols] = rng.uniform(0.0, np.pi, rows.size)
+        # pin a few free angles at 0 (zero sine) and at pi
+        phi[rows[::4], cols[::4]] = 0.0
+        phi[rows[1::5], cols[1::5]] = np.pi
+        J = _slot_jacobian(phi, rows, cols)
+        assert J.shape == (rows.size, d + 1)
+        ref = np.array([param_jacobian_point(phi[j])[i]
+                        for j, i in zip(rows, cols)])
+        assert J.tobytes() == ref.tobytes()

@@ -105,6 +105,16 @@ class TestVerify:
         with pytest.raises(InvalidParameterError):
             verify_design(polytopes.octahedron(), 0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+    def test_invalid_tolerance(self, tol):
+        # a NaN tolerance fails every comparison and would certify a
+        # made-up exactness degree
+        X = PointSet(d=2, coords=np.eye(3))
+        with pytest.raises(InvalidParameterError):
+            verify_design(X, 1, tolerance=tol)
+        with pytest.raises(InvalidParameterError):
+            verify_design(polytopes.cell24(), 2, tolerance=tol)
+
     def test_tolerance_is_configurable(self):
         X = _random_set(2, 30, 11)
         assert verify_design(X, 1, tolerance=10.0).is_design
