@@ -47,10 +47,10 @@ def cmd_gen(args):
     write_pointset(result.pointset, args.output, t=args.t)
     geo = result.geometry
     line = ("t=%d N=%d converged=%s V1=" + V_FMT + " V2=" + V_FMT +
-            " V3=" + V_FMT + " rTr=" + V_FMT +
+            " V3=" + V_FMT + " rTr=%s" +
             " delta=" + ANGLE_FMT + " h=" + ANGLE_FMT + " rho=" + RHO_FMT) % (
         args.t, result.pointset.N, result.converged, result.v1, result.v2,
-        result.v3, result.rtr, geo.delta, geo.h, geo.rho)
+        result.v3, _fmt_opt(result.rtr), geo.delta, geo.h, geo.rho)
     print(line)
     return 0 if result.converged else 1
 
@@ -105,8 +105,10 @@ def cmd_table(args):
             continue
         X = read_pointset(path)
         n = n_free(args.d, X.N, X.symmetric)
-        vs = [criteria.variational_value(X, criteria.make_psi(k, args.d, t))
-              for k in criteria.KINDS]
+        if X.d != args.d:
+            raise SphDesignError("%s holds points on S^%d, not S^%d"
+                                 % (path, X.d, args.d))
+        vs = criteria.variational_values(X, t)
         rtr = criteria.weyl_residual(X, t).rtr if args.d == 2 else float("nan")
         geo = geometry.mesh_ratio(X, accuracy=1e-4)
         out.write(("%d,%d,%d,%d,%d,%d," + V_FMT + "," + V_FMT + "," + V_FMT +

@@ -180,6 +180,11 @@ def variational_value(X, spec):
     return _value_from_gram(g, spec)
 
 
+def variational_values(X, t):
+    """(V_psi1, V_psi2, V_psi3) of X at degree t, in the order of KINDS."""
+    return tuple(variational_value(X, make_psi(k, X.d, t)) for k in KINDS)
+
+
 def variational_gradient(X, spec):
     """Cartesian gradient of V per point of the expanded set.
 
@@ -292,8 +297,9 @@ def symmetric_row_mask(t):
     return mask
 
 
-def weyl_residual_reduced(X, t, spec=None):
-    """Residual restricted to even degrees for a symmetric set.
+def weyl_residual_reduced(X, t):
+    """Residual restricted to even degrees for a symmetric set, with the
+    psi3 weights.
 
     The sums run over the representatives and are doubled; odd degrees
     cancel identically by symmetry so they are dropped.
@@ -302,8 +308,7 @@ def weyl_residual_reduced(X, t, spec=None):
         raise InvalidDimensionError("Weyl residuals require d = 2")
     if not X.symmetric:
         raise InvalidParameterError("reduced residual needs a symmetric set")
-    if spec is None:
-        spec = make_psi(PSI3, 2, t)
+    spec = make_psi(PSI3, 2, t)
     basis = specfun.sph_harmonics_s2(t, X.coords, include_degree0=False)
     mask = symmetric_row_mask(t)
     r = 2.0 * comp_sum(basis.values[mask], axis=1)

@@ -23,6 +23,7 @@ import numpy as np
 from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
+from .criteria import _gram
 from .errors import (InfiniteEnergyError, InvalidParameterError,
                      UndefinedMetricError)
 from .summation import comp_sum
@@ -34,19 +35,13 @@ from .summation import comp_sum
 _FLAT_TOL = 1e-12
 
 
-def _pairwise_cos(coords):
-    g = coords @ coords.T
-    np.clip(g, -1.0, 1.0, out=g)
-    return g
-
-
 def separation(X):
     """Minimum geodesic distance over all point pairs."""
     coords = X.expanded()
     N = coords.shape[0]
     if N < 2:
         raise UndefinedMetricError("separation needs at least two points")
-    g = _pairwise_cos(coords)
+    g = _gram(coords)
     iu = np.triu_indices(N, k=1)
     return float(np.arccos(np.max(g[iu])))
 
@@ -130,8 +125,12 @@ class GeometryReport:
 
 
 def mesh_ratio(X, accuracy=1e-6):
-    """GeometryReport with rho = 2 h / delta."""
+    """GeometryReport with rho = 2 h / delta; coincident points
+    (delta = 0) leave rho undefined."""
     delta = separation(X)
+    if delta == 0.0:
+        raise UndefinedMetricError("coincident points: the mesh ratio is "
+                                   "undefined")
     h, achieved = mesh_norm(X, accuracy)
     return GeometryReport(delta=delta, h=h, rho=2.0 * h / delta,
                           h_accuracy=achieved)
@@ -161,7 +160,7 @@ def inner_product_set(X, dedup=1e-9):
     N = coords.shape[0]
     if N < 2:
         raise UndefinedMetricError("inner products need at least two points")
-    g = _pairwise_cos(coords)
+    g = _gram(coords)
     vals = np.sort(g[np.triu_indices(N, k=1)])
     if dedup <= 0:
         return InnerProductSet(values=vals, counts=np.ones(vals.size, dtype=int),
@@ -188,7 +187,7 @@ def riesz_energy(X, s):
     N = coords.shape[0]
     if N < 2:
         raise UndefinedMetricError("energy needs at least two points")
-    g = _pairwise_cos(coords)
+    g = _gram(coords)
     iu = np.triu_indices(N, k=1)
     d2 = 2.0 - 2.0 * g[iu]
     if np.any(d2 <= 0.0):

@@ -78,9 +78,7 @@ class SolveResult:
     @cached_property
     def variational(self):
         """(v1, v2, v3)."""
-        X = self.pointset
-        return tuple(criteria.variational_value(X, make_psi(k, X.d, self.t))
-                     for k in criteria.KINDS)
+        return criteria.variational_values(self.pointset, self.t)
 
     @property
     def v1(self):
@@ -221,31 +219,29 @@ def minimize_variational(X0, spec):
     return _make_result(X, spec.t, its)
 
 
-def _lsq_residual(p, t, spec):
+def _lsq_residual(p, t):
     X = param_to_points(p)
     if p.symmetric:
-        res = criteria.weyl_residual_reduced(X, t, spec)
+        res = criteria.weyl_residual_reduced(X, t)
     else:
-        res = criteria.weyl_residual(X, t, spec)
+        res = criteria.weyl_residual(X, t)
     return X, res
 
 
-def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
-              opts=SolveOptions()):
-    """Levenberg-Marquardt on the weighted Weyl residual (d = 2).
+def solve_lsq(X0, t, opts=SolveOptions()):
+    """Levenberg-Marquardt on the Weyl residual (d = 2), weighted by the
+    constant psi3 diagonal.
 
-    weights may be the string "psi3_constant" (constant diagonal) or a
-    PsiSpec whose Legendre coefficients set the diagonal.  Symmetric
-    mode works on the representatives and even-degree rows only.
+    A symmetric X0 is solved on its representatives and even-degree
+    rows only.  A start with no free angles is reported as it is.
     """
     if X0.d != 2:
         raise InvalidDimensionError("least squares requires d = 2")
-    if symmetric and not X0.symmetric:
-        raise InvalidParameterError("symmetric solve needs a symmetric start")
-    spec = make_psi(PSI3, 2, t) if weights == "psi3_constant" else weights
     p = _pack(X0)
+    if p.values.size == 0:
+        return _make_result(param_to_points(p), t, 0)
     r_tol = _r_tolerance(X0.N)
-    X, res = _lsq_residual(p, t, spec)
+    X, res = _lsq_residual(p, t)
     w = res.weights
     f = float(np.dot(w * res.r, res.r))
     nu = _LM_NU0
@@ -274,7 +270,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
                 nu *= _LM_NU_UP
                 continue
             trial = _moved(p, p.values + direction)
-            Xt, rest = _lsq_residual(trial, t, spec)
+            Xt, rest = _lsq_residual(trial, t)
             ft = float(np.dot(w * rest.r, rest.r))
             if ft < f:
                 p, X, res, f = trial, Xt, rest, ft
@@ -291,8 +287,7 @@ def solve_lsq(X0, t, symmetric=False, weights="psi3_constant",
     return _make_result(X, t, its)
 
 
-def solve_lsq_with_hops(X0, t, symmetric=False, opts=SolveOptions(), seed=0,
-                        hops=_MAX_HOPS):
+def solve_lsq_with_hops(X0, t, opts=SolveOptions(), seed=0, hops=_MAX_HOPS):
     """solve_lsq with local-minimum escapes.
 
     A stalled run is kicked (strength cycling through _HOP_SIGMAS) and
@@ -300,7 +295,7 @@ def solve_lsq_with_hops(X0, t, symmetric=False, opts=SolveOptions(), seed=0,
     residual.  The hops end at convergence, after `hops` trials, or
     after _HOP_STALE_LIMIT rejected trials in a row.
     """
-    result = solve_lsq(X0, t, symmetric=symmetric, opts=opts)
+    result = solve_lsq(X0, t, opts=opts)
     rng = np.random.default_rng(seed)
     stale = 0
     for k in range(hops):
@@ -308,7 +303,7 @@ def solve_lsq_with_hops(X0, t, symmetric=False, opts=SolveOptions(), seed=0,
             break
         trial = solve_lsq(
             _kick(result.pointset, rng, _HOP_SIGMAS[k % len(_HOP_SIGMAS)]),
-            t, symmetric=symmetric, opts=opts)
+            t, opts=opts)
         if trial.converged or _obj(trial) < _obj(result):
             trial.iterations += result.iterations
             result = trial
@@ -363,6 +358,9 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         raise InvalidParameterError("symmetric designs target odd t")
     if opts.seed < 0:
         raise InvalidParameterError("seed must be >= 0, got %d" % opts.seed)
+    if opts.restarts < 1:
+        raise InvalidParameterError(
+            "restarts must be >= 1, got %d" % opts.restarts)
     if method is None:
         method = "lm" if d == 2 else "grad"
     if method not in ("lm", "grad"):
@@ -373,12 +371,11 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         raise InvalidParameterError("psi applies to method 'grad' only")
     if N is None:
         N = bounds_mod.n_default(d, t, symmetric)
-    restarts = max(1, opts.restarts)
     plans = []
     if method == "lm" and not symmetric and t % 2 == 1 and N % 2 == 0:
         plans += [("symmetric_double", opts.seed + 4000037 * (k + 1), True)
-                  for k in range(4 * restarts)]
-    for k in range(restarts):
+                  for k in range(4 * opts.restarts)]
+    for k in range(opts.restarts):
         if symmetric:
             kind = "symmetric_double"
         elif d == 2 and k < 2:
@@ -395,8 +392,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         X0 = initial_points(d, N, kind, seed)
         if method == "lm":
             result = solve_lsq_with_hops(
-                X0, t, symmetric=symmetric or antipodal, opts=opts,
-                seed=seed + 1,
+                X0, t, opts=opts, seed=seed + 1,
                 hops=_MAX_HOPS if antipodal or best is None else 2)
         else:
             result = minimize_variational(X0, spec)
@@ -415,7 +411,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
             if best.geometry.rho <= _RHO_REFINE:
                 break
             trial = solve_lsq(_kick(best.pointset, rng, _HOP_SIGMAS[0]), t,
-                              symmetric=best.pointset.symmetric, opts=opts)
+                              opts=opts)
             best = _scored(trial, best)
     result = best if best is not None else best_any
     if result.geometry is None:

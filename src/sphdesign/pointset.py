@@ -138,15 +138,15 @@ class ParamVector:
 
     For symmetric sets the angles describe the N/2 representatives.
     Bounds: colatitude-like angles lie in [0, pi]; the final angle of a
-    point (index d) in [0, 2 pi).  Default bounds are read-only arrays
+    point (index d) in [0, 2 pi).  The bounds are read-only arrays
     shared by every ParamVector of the same shape.
     """
     d: int
     N: int
     symmetric: bool
     values: np.ndarray
-    lower: np.ndarray = field(default=None)
-    upper: np.ndarray = field(default=None)
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -154,13 +154,8 @@ class ParamVector:
         if self.values.shape != (n,):
             raise InvalidParameterError(
                 "expected %d packed angles, got shape %r" % (n, self.values.shape))
-        if self.lower is None or self.upper is None:
-            reps = self.N // 2 if self.symmetric else self.N
-            lower, upper = _angle_bounds(self.d, reps)
-            if self.lower is None:
-                self.lower = lower
-            if self.upper is None:
-                self.upper = upper
+        reps = self.N // 2 if self.symmetric else self.N
+        self.lower, self.upper = _angle_bounds(self.d, reps)
         if np.any(self.values < self.lower - 1e-12) or \
            np.any(self.values > self.upper + 1e-12):
             raise InvalidParameterError("packed angle out of bounds")

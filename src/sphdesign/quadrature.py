@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria, specfun
+from . import criteria
 from .errors import InvalidParameterError
 from .summation import comp_sum
 
@@ -59,20 +59,6 @@ def _finite_or_none(x):
     return float(x) if np.isfinite(x) else None
 
 
-def _degree_max_weyl_s2(X, t_max):
-    """Per-degree max |r_{l,k}|/N for l = 1..t_max."""
-    basis = specfun.sph_harmonics_s2(t_max, X, include_degree0=False)
-    sums = comp_sum(basis.values, axis=1)
-    N = X.N
-    out = np.empty(t_max)
-    pos = 0
-    for ell in range(1, t_max + 1):
-        width = 2 * ell + 1
-        out[ell - 1] = np.max(np.abs(sums[pos:pos + width])) / N
-        pos += width
-    return out, sums
-
-
 def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     """Check the design property up to degree t_max.
 
@@ -87,23 +73,23 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     if not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(
             "tolerance must be finite and >= 0, got %r" % (tolerance,))
-    v = [criteria.variational_value(X, criteria.make_psi(k, X.d, t_max))
-         for k in criteria.KINDS]
+    v = criteria.variational_values(X, t_max)
     if X.d == 2:
-        per_degree, sums = _degree_max_weyl_s2(X, t_max)
-        max_abs = float(np.max(per_degree))
-        rtr = float(comp_sum(sums * sums))
+        res = criteria.weyl_residual(X, t_max)
+        scaled = np.abs(res.r) / X.N
         exact = 0
         for ell in range(1, t_max + 1):
-            if per_degree[ell - 1] > tolerance:
+            # degree ell holds rows ell^2 - 1 .. (ell + 1)^2 - 2
+            if np.max(scaled[ell * ell - 1:(ell + 1) ** 2 - 1]) > tolerance:
                 break
             exact = ell
+        max_abs = float(np.max(scaled))
+        rtr = res.rtr
         is_design = max_abs <= tolerance
     else:
         exact = 0
         for tt in range(1, t_max + 1):
-            vs = [criteria.variational_value(X, criteria.make_psi(k, X.d, tt))
-                  for k in criteria.KINDS]
+            vs = criteria.variational_values(X, tt)
             if max(abs(val) for val in vs) > tolerance:
                 break
             exact = tt

@@ -127,6 +127,14 @@ class TestGeom:
         assert captured.out == ""
         assert captured.err.startswith("error: line 4: non-finite")
 
+    def test_coincident_points(self, tmp_path, capsys):
+        path = tmp_path / "repeated.txt"
+        path.write_text("1 0 0\n0 1 0\n0 0 1\n1 0 0\n")
+        assert main(["geom", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coincident points")
+
 
 class TestGen:
     def test_generates_and_verifies(self, tmp_path, capsys):
@@ -186,6 +194,35 @@ class TestGen:
         assert captured.err.startswith("error: ")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("restarts", ["0", "-4"])
+    def test_restarts_below_one_is_usage_error(self, tmp_path, capsys,
+                                               restarts):
+        out_file = tmp_path / "r.txt"
+        code = main(["gen", "--d", "2", "--t", "2", "--restarts", restarts,
+                     "-o", str(out_file)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: restarts")
+        assert not out_file.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--symmetric"]])
+    def test_start_without_free_angles(self, tmp_path, capsys, flags):
+        # two points at odd t give one-representative antipodal starts
+        code = main(["gen", "--d", "2", "--t", "3", "--n", "2",
+                     "--restarts", "1", "-o", str(tmp_path / "n2.txt")]
+                    + flags)
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "converged=False" in captured.out
+        assert captured.err == ""
+
+    def test_rtr_not_applicable_on_s3(self, tmp_path, capsys):
+        code = main(["gen", "--d", "3", "--t", "2", "--restarts", "1",
+                     "-o", str(tmp_path / "d3.txt")])
+        assert code == 0
+        assert " rTr=n/a " in capsys.readouterr().out
+
     def test_symmetric_gen(self, tmp_path, capsys):
         out_file = str(tmp_path / "sym.txt")
         code = main(["gen", "--d", "2", "--t", "3", "--symmetric",
@@ -213,6 +250,12 @@ class TestTable:
         # missing t=4 file: blank V columns and a warning on stderr
         row4 = lines[2].split(",")
         assert row4[6] == "" and "missing design file" in captured.err
+
+    def test_file_of_another_dimension(self, tmp_path, capsys):
+        write_pointset(polytopes.octahedron(), tmp_path / "d3_t3.txt", t=3)
+        assert main(["table", "--d", "3", "--t-min", "3", "--t-max", "3",
+                     "--designs-dir", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_usage_error(self, tmp_path):
         assert main(["table", "--d", "2", "--t-min", "3", "--t-max", "2",

@@ -10,6 +10,7 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, make_psi,
                                 residual_weights, symmetric_row_mask,
                                 variational_gradient, variational_value,
                                 variational_value_and_param_gradient,
+                                variational_values,
                                 weyl_jacobian, weyl_residual,
                                 weyl_residual_reduced)
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
@@ -150,6 +151,14 @@ class TestVariationalValue:
     def test_mismatched_dimension(self):
         with pytest.raises(InvalidDimensionError):
             variational_value(_random_set(3, 5), make_psi(PSI1, 2, 3))
+
+    @pytest.mark.parametrize("d, N, t, symmetric", [
+        (2, 14, 4, False), (2, 12, 5, True), (3, 24, 5, False),
+        (4, 9, 2, False)])
+    def test_values_match_per_kind(self, d, N, t, symmetric):
+        X = _random_set(d, N, 6, symmetric=symmetric)
+        assert variational_values(X, t) == tuple(
+            variational_value(X, make_psi(k, d, t)) for k in KINDS)
 
 
 class TestGradients:

@@ -207,6 +207,11 @@ class TestMeshRatio:
         assert rep.rho == pytest.approx(expect, abs=1e-4)
         assert rep.h_accuracy <= 1e-5
 
+    def test_coincident_points_undefined(self):
+        coords = np.vstack([polytopes.octahedron().coords, [[1.0, 0.0, 0.0]]])
+        with pytest.raises(UndefinedMetricError):
+            mesh_ratio(PointSet(d=2, coords=coords))
+
     def test_calls_mesh_norm_through_module(self, monkeypatch):
         # wrappers installed on geometry.mesh_norm see mesh_ratio's call
         monkeypatch.setattr(geometry, "mesh_norm", lambda X, acc: (0.5, 0.0))

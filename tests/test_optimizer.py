@@ -68,7 +68,7 @@ class TestLsq:
 
     def test_symmetric_solve(self):
         X0 = initial_points(2, 12, "symmetric_double", seed=3)
-        res = solve_lsq(X0, 3, symmetric=True)
+        res = solve_lsq(X0, 3)
         assert res.converged
         assert res.pointset.symmetric
         assert verify_design(res.pointset, 3).is_design
@@ -77,14 +77,6 @@ class TestLsq:
         X0 = initial_points(3, 8, "random_uniform")
         with pytest.raises(InvalidDimensionError):
             solve_lsq(X0, 2)
-
-    def test_psi_weighting_accepted(self):
-        # the non-constant diagonal converges more slowly, so allow a
-        # larger iteration budget
-        X0 = initial_points(2, 14, "equal_area_spiral")
-        res = solve_lsq(X0, 4, weights=make_psi(PSI2, 2, 4),
-                        opts=SolveOptions(max_iterations=2000))
-        assert res.converged
 
 
 class TestVariationalDescent:
@@ -149,6 +141,20 @@ class TestGenerate:
         with pytest.raises(InvalidParameterError):
             generate_design(2, 2, opts=SolveOptions(seed=-5000000))
 
+    @pytest.mark.parametrize("restarts", [0, -4])
+    def test_restarts_below_one(self, restarts):
+        with pytest.raises(InvalidParameterError):
+            generate_design(2, 2, opts=SolveOptions(restarts=restarts))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_start_without_free_angles(self, symmetric):
+        # N = 2 at odd t solves antipodal starts of one representative,
+        # which has no free angle; such a start is reported as it is
+        res = generate_design(2, 3, N=2, symmetric=symmetric,
+                              opts=SolveOptions(restarts=1))
+        assert not res.converged and res.pointset.N == 2
+        assert res.pointset.symmetric == symmetric
+
     def test_lm_needs_s2(self):
         with pytest.raises(InvalidDimensionError):
             generate_design(3, 2, method="lm")
@@ -209,8 +215,8 @@ def _clip_wrap_reference(p, values):
     return out
 
 
-def _hops_reference(X0, t, symmetric, opts, seed, hops):
-    result = solve_lsq(X0, t, symmetric=symmetric, opts=opts)
+def _hops_reference(X0, t, opts, seed, hops):
+    result = solve_lsq(X0, t, opts=opts)
     if result.converged or hops <= 0:
         return result
     rng = np.random.default_rng(seed)
@@ -224,8 +230,7 @@ def _hops_reference(X0, t, symmetric, opts, seed, hops):
             d=p.d, N=p.N, symmetric=p.symmetric,
             values=_clip_wrap_reference(
                 p, p.values + rng.normal(0.0, sigma, p.values.size)))
-        trial = solve_lsq(param_to_points(kicked), t, symmetric=symmetric,
-                          opts=opts)
+        trial = solve_lsq(param_to_points(kicked), t, opts=opts)
         if trial.converged or _obj(trial) < _obj(result):
             trial.iterations += result.iterations
             result = trial
@@ -247,7 +252,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
         for k in range(4 * max(1, opts.restarts)):
             seed = opts.seed + 4000037 * (k + 1)
             X0 = initial_points(d, N, "symmetric_double", seed)
-            result = _hops_reference(X0, t, True, opts, seed + 1, _MAX_HOPS)
+            result = _hops_reference(X0, t, opts, seed + 1, _MAX_HOPS)
             if result.converged:
                 result.pointset = result.pointset.expand()
                 result.geometry = geometry.mesh_ratio(result.pointset,
@@ -265,7 +270,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
         else:
             X0 = initial_points(d, N, "random_uniform", seed)
         if method == "lm":
-            result = _hops_reference(X0, t, symmetric, opts, seed + 1,
+            result = _hops_reference(X0, t, opts, seed + 1,
                                      _MAX_HOPS if best is None else 2)
         else:
             result = minimize_variational(X0, make_psi(PSI3, d, t))
@@ -287,8 +292,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
                 d=p.d, N=p.N, symmetric=p.symmetric,
                 values=_clip_wrap_reference(p, p.values + rng.normal(
                     0.0, _HOP_SIGMAS[0], p.values.size)))
-            trial = solve_lsq(param_to_points(kicked), t,
-                              symmetric=p.symmetric, opts=opts)
+            trial = solve_lsq(param_to_points(kicked), t, opts=opts)
             if trial.converged:
                 trial.geometry = geometry.mesh_ratio(trial.pointset,
                                                      accuracy=1e-4)

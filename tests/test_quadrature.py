@@ -5,10 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from sphdesign import polytopes
+from sphdesign import polytopes, specfun
 from sphdesign.errors import InvalidParameterError
 from sphdesign.pointset import PointSet
 from sphdesign.quadrature import DEFAULT_TOL, integrate, verify_design
+from sphdesign.summation import comp_sum
 
 
 def _random_set(d, N, seed=0):
@@ -16,6 +17,21 @@ def _random_set(d, N, seed=0):
     c = rng.standard_normal((N, d + 1))
     c /= np.linalg.norm(c, axis=1)[:, None]
     return PointSet(d=d, coords=c)
+
+
+def _degree_max_weyl_s2(X, t_max):
+    """Per-degree max |r_{l,k}|/N for l = 1..t_max and the raw sums: the
+    former verification path of S^2, kept as an oracle."""
+    basis = specfun.sph_harmonics_s2(t_max, X, include_degree0=False)
+    sums = comp_sum(basis.values, axis=1)
+    N = X.N
+    out = np.empty(t_max)
+    pos = 0
+    for ell in range(1, t_max + 1):
+        width = 2 * ell + 1
+        out[ell - 1] = np.max(np.abs(sums[pos:pos + width])) / N
+        pos += width
+    return out, sums
 
 
 class TestIntegrate:
@@ -100,6 +116,27 @@ class TestVerify:
         assert blob["is_design"] is True
         assert blob["t_claimed"] == 3
         assert blob["exactness_degree"] == 3
+
+    @pytest.mark.parametrize("make, t", [
+        (polytopes.octahedron, 3), (polytopes.octahedron, 4),
+        (polytopes.icosahedron, 5), (polytopes.icosahedron, 7),
+        (lambda: PointSet(d=2, coords=_random_set(2, 9, 4).coords,
+                          symmetric=True), 7),
+        (lambda: _random_set(2, 222, 0), 20),
+    ])
+    def test_weyl_verdict_bitwise_against_oracle(self, make, t):
+        X = make()
+        rep = verify_design(X, t)
+        per_degree, sums = _degree_max_weyl_s2(X, t)
+        exact = 0
+        for ell in range(1, t + 1):
+            if per_degree[ell - 1] > DEFAULT_TOL:
+                break
+            exact = ell
+        assert rep.max_abs_weyl == float(np.max(per_degree))
+        assert rep.rTr == float(comp_sum(sums * sums))
+        assert rep.exactness_degree == exact
+        assert rep.is_design == (float(np.max(per_degree)) <= DEFAULT_TOL)
 
     def test_invalid_degree(self):
         with pytest.raises(InvalidParameterError):
