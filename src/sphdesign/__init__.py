@@ -5,10 +5,10 @@ spherical polynomials up to a given degree exactly."""
 from .pointset import (PointSet, ParamVector, surface_area, geodesic_dist,
                        param_to_points, points_to_param, normalize_pointset,
                        read_pointset, write_pointset, n_free)
-from .specfun import (dim_harmonic, dim_poly, JacobiParams, jacobi_eval,
+from .specfun import (dim_harmonic, dim_poly, jacobi_eval, jacobi_deriv,
                       jacobi_batch, jacobi_at_one, legendre_norm,
-                      legendre_norm_deriv, sph_harmonics_s2,
-                      sph_harmonics_s2_jacobian, jacobi_largest_zero)
+                      sph_harmonics_s2, sph_harmonics_s2_jacobian,
+                      row_degrees, jacobi_largest_zero)
 from .criteria import (PsiSpec, make_psi, psi_eval, psi_deriv,
                        variational_value, variational_gradient,
                        weyl_residual, weyl_jacobian, WeylResidual,

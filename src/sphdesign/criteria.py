@@ -7,8 +7,9 @@ A configuration is a t-design exactly when the quadratic form
 vanishes, where psi is a zonal polynomial with strictly positive
 Legendre coefficients a_ell for 1 <= ell <= t and zero mean.  Three
 standard choices are provided.  On S^2 the equivalent weighted
-least-squares form r^T D r over Weyl sums is available together with
-its Jacobian for Levenberg-Marquardt iterations.
+least-squares form r^T D r over Weyl sums, with the constant diagonal
+of psi_3, is available together with its Jacobian for
+Levenberg-Marquardt iterations.
 """
 
 from dataclasses import dataclass, field
@@ -99,8 +100,7 @@ def psi_eval(spec, z):
         return z ** (t - 1) + z ** t - spec.a0
     if spec.kind == PSI2:
         return (0.5 * (1.0 + z)) ** t - spec.a0
-    p = specfun.JacobiParams(spec.alpha + 1.0, spec.alpha, t)
-    return specfun.jacobi_eval(p, z) - spec.a0
+    return specfun.jacobi_eval(spec.alpha + 1.0, spec.alpha, t, z) - spec.a0
 
 
 def psi_deriv(spec, z):
@@ -118,8 +118,8 @@ def psi_deriv(spec, z):
         return 0.5 * t * (0.5 * (1.0 + z)) ** (t - 1)
     if t == 0:
         return np.zeros_like(z)
-    p = specfun.JacobiParams(spec.alpha + 2.0, spec.alpha + 1.0, t - 1)
-    return 0.5 * (t + 2.0 * spec.alpha + 2.0) * specfun.jacobi_eval(p, z)
+    return 0.5 * (t + 2.0 * spec.alpha + 2.0) * specfun.jacobi_eval(
+        spec.alpha + 2.0, spec.alpha + 1.0, t - 1, z)
 
 
 def psi_coefficients(spec):
@@ -223,7 +223,7 @@ class WeylResidual:
     """Weyl sums r_{ell,k} over a point set on S^2.
 
     r is ordered by ascending degree with the fixed in-degree order of
-    the harmonic basis; weights holds the least-squares diagonal
+    the harmonic basis; weights holds the psi_3 least-squares diagonal
     a_ell / Z(d, ell) expanded per row.  tables are the harmonic tables
     of the points the sums ran over, which weyl_jacobian reuses.
     """
@@ -239,10 +239,6 @@ class WeylResidual:
         return float(comp_sum(self.r * self.r))
 
     @property
-    def weighted(self):
-        return float(comp_sum(self.weights * self.r * self.r))
-
-    @property
     def max_abs(self):
         return float(np.max(np.abs(self.r)))
 
@@ -255,44 +251,31 @@ def residual_weights(spec):
         raise InvalidDimensionError("weighted residuals are for d = 2")
     if spec.kind == PSI3:
         # a_ell = a0 Z(d, ell), so every weight collapses to a0
-        a = np.array([spec.a0 * (2 * ell + 1)
-                      for ell in range(1, spec.t + 1)])
+        a = spec.a0 * (2 * np.arange(1, spec.t + 1) + 1)
     else:
-        coeffs = psi_coefficients(spec)
-        a = coeffs[1:]
-    rows = []
-    for ell in range(1, spec.t + 1):
-        rows.append(np.full(2 * ell + 1, a[ell - 1] / (2 * ell + 1)))
-    w = np.concatenate(rows)
+        a = psi_coefficients(spec)[1:]
+    deg = specfun.row_degrees(spec.t)
+    w = a[deg - 1] / (2 * deg + 1)
     w.setflags(write=False)
     return w
 
 
-def weyl_residual(X, t, spec=None):
-    """Weyl sums r_{ell,k} = sum_j Y_{ell,k}(x_j) for ell = 1..t (d = 2).
-
-    spec selects the least-squares weights; default is the constant
-    diagonal of the third variational function.
-    """
+def weyl_residual(X, t):
+    """Weyl sums r_{ell,k} = sum_j Y_{ell,k}(x_j) for ell = 1..t (d = 2),
+    over the expanded points, with the psi_3 weights."""
     if X.d != 2:
         raise InvalidDimensionError("Weyl residuals require d = 2")
-    if spec is None:
-        spec = make_psi(PSI3, 2, t)
-    basis = specfun.sph_harmonics_s2(t, X, include_degree0=False)
-    return WeylResidual(t=t, N=X.N, r=comp_sum(basis.values, axis=1),
-                        weights=residual_weights(spec), tables=basis.tables)
+    values, tables = specfun.sph_harmonics_s2(t, X.expanded())
+    return WeylResidual(t=t, N=X.N, r=comp_sum(values, axis=1),
+                        weights=residual_weights(make_psi(PSI3, 2, t)),
+                        tables=tables)
 
 
 @lru_cache(maxsize=None)
 def symmetric_row_mask(t):
     """Mask of even-degree rows in the full residual of degree t
     (read-only)."""
-    mask = np.zeros((t + 1) ** 2 - 1, dtype=bool)
-    pos = 0
-    for ell in range(1, t + 1):
-        if ell % 2 == 0:
-            mask[pos:pos + 2 * ell + 1] = True
-        pos += 2 * ell + 1
+    mask = specfun.row_degrees(t) % 2 == 0
     mask.setflags(write=False)
     return mask
 
@@ -308,12 +291,12 @@ def weyl_residual_reduced(X, t):
         raise InvalidDimensionError("Weyl residuals require d = 2")
     if not X.symmetric:
         raise InvalidParameterError("reduced residual needs a symmetric set")
-    spec = make_psi(PSI3, 2, t)
-    basis = specfun.sph_harmonics_s2(t, X.coords, include_degree0=False)
+    values, tables = specfun.sph_harmonics_s2(t, X.coords)
     mask = symmetric_row_mask(t)
-    r = 2.0 * comp_sum(basis.values[mask], axis=1)
-    return WeylResidual(t=t, N=X.N, r=r, weights=residual_weights(spec)[mask],
-                        tables=basis.tables)
+    r = 2.0 * comp_sum(values[mask], axis=1)
+    return WeylResidual(t=t, N=X.N, r=r,
+                        weights=residual_weights(make_psi(PSI3, 2, t))[mask],
+                        tables=tables)
 
 
 def weyl_jacobian(X, t, residual=None):
@@ -330,8 +313,7 @@ def weyl_jacobian(X, t, residual=None):
     _require_normalized(X)
     reps = X.coords.shape[0]
     d1, d2 = specfun.sph_harmonics_s2_jacobian(
-        t, X.coords, include_degree0=False,
-        tables=None if residual is None else residual.tables)
+        t, X.coords, tables=None if residual is None else residual.tables)
     if X.symmetric:
         mask = symmetric_row_mask(t)
         d1 = 2.0 * d1[mask]

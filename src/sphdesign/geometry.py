@@ -33,6 +33,11 @@ from .summation import comp_sum
 # then pi/2 to within this much, and qhull is never given a set flatter
 # than it can resolve.
 _FLAT_TOL = 1e-12
+# A repeated row's Gram entry is its squared norm, which PointSet keeps
+# within about 2 UNIT_TOL = 2e-12 of 1, so its separation is below
+# sqrt(2 * 2e-12) = 2e-6.  Only sets separated by less than this bound
+# can hold one.
+_REPEATED_ROW_DELTA = 1e-5
 
 
 def separation(X):
@@ -117,7 +122,8 @@ def mesh_norm(X, accuracy=1e-6):
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Separation, mesh norm (with its certified accuracy), mesh ratio."""
+    """Separation, mesh norm, mesh ratio.  h_accuracy is always 0: the
+    mesh norm is computed in closed form."""
     delta: float
     h: float
     rho: float
@@ -126,11 +132,17 @@ class GeometryReport:
 
 def mesh_ratio(X, accuracy=1e-6):
     """GeometryReport with rho = 2 h / delta; coincident points
-    (delta = 0) leave rho undefined."""
+    (a repeated row, or delta = 0) leave rho undefined.
+
+    A repeated row is refused by itself: its rounded Gram entry can fall
+    just below 1, which would give delta of about 1.5e-8 instead of 0.
+    """
     delta = separation(X)
-    if delta == 0.0:
-        raise UndefinedMetricError("coincident points: the mesh ratio is "
-                                   "undefined")
+    if delta < _REPEATED_ROW_DELTA:
+        coords = X.expanded()
+        if delta == 0.0 or len(np.unique(coords, axis=0)) < len(coords):
+            raise UndefinedMetricError("coincident points: the mesh ratio "
+                                       "is undefined")
     h, achieved = mesh_norm(X, accuracy)
     return GeometryReport(delta=delta, h=h, rho=2.0 * h / delta,
                           h_accuracy=achieved)

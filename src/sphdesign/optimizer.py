@@ -30,6 +30,7 @@ CLASS_LOCAL = "local-minimum-positive"
 _LM_NU0 = 1e-2
 _LM_NU_UP = 10.0
 _LM_NU_DOWN = 0.3
+_LM_MAX_ITERATIONS = 400     # LM iterations per solve
 _GRAD_MAX_ITERATIONS = 4000  # quasi-Newton iterations per sweep
 _GRADIENT_TOLERANCE = 1e-13
 _V_TOL = 5e-15               # relative to psi(1)
@@ -44,7 +45,6 @@ _REFINE_TICKETS = 18
 
 @dataclass(frozen=True)
 class SolveOptions:
-    max_iterations: int = 400  # LM iterations per solve
     restarts: int = 5
     seed: int = 0
 
@@ -228,12 +228,13 @@ def _lsq_residual(p, t):
     return X, res
 
 
-def solve_lsq(X0, t, opts=SolveOptions()):
+def solve_lsq(X0, t):
     """Levenberg-Marquardt on the Weyl residual (d = 2), weighted by the
     constant psi3 diagonal.
 
     A symmetric X0 is solved on its representatives and even-degree
-    rows only.  A start with no free angles is reported as it is.
+    rows only.  A start with no free angles is reported as it is.  A
+    solve runs at most _LM_MAX_ITERATIONS iterations.
     """
     if X0.d != 2:
         raise InvalidDimensionError("least squares requires d = 2")
@@ -248,7 +249,7 @@ def solve_lsq(X0, t, opts=SolveOptions()):
     its = 0
     f_hist = [f]
     eye = np.eye(p.values.size)
-    while its < opts.max_iterations:
+    while its < _LM_MAX_ITERATIONS:
         if res.rtr <= r_tol:
             break
         # a flatlining objective far from the tolerance is a local
@@ -287,7 +288,7 @@ def solve_lsq(X0, t, opts=SolveOptions()):
     return _make_result(X, t, its)
 
 
-def solve_lsq_with_hops(X0, t, opts=SolveOptions(), seed=0, hops=_MAX_HOPS):
+def solve_lsq_with_hops(X0, t, seed=0, hops=_MAX_HOPS):
     """solve_lsq with local-minimum escapes.
 
     A stalled run is kicked (strength cycling through _HOP_SIGMAS) and
@@ -295,15 +296,14 @@ def solve_lsq_with_hops(X0, t, opts=SolveOptions(), seed=0, hops=_MAX_HOPS):
     residual.  The hops end at convergence, after `hops` trials, or
     after _HOP_STALE_LIMIT rejected trials in a row.
     """
-    result = solve_lsq(X0, t, opts=opts)
+    result = solve_lsq(X0, t)
     rng = np.random.default_rng(seed)
     stale = 0
     for k in range(hops):
         if result.converged or stale >= _HOP_STALE_LIMIT:
             break
         trial = solve_lsq(
-            _kick(result.pointset, rng, _HOP_SIGMAS[k % len(_HOP_SIGMAS)]),
-            t, opts=opts)
+            _kick(result.pointset, rng, _HOP_SIGMAS[k % len(_HOP_SIGMAS)]), t)
         if trial.converged or _obj(trial) < _obj(result):
             trial.iterations += result.iterations
             result = trial
@@ -392,7 +392,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         X0 = initial_points(d, N, kind, seed)
         if method == "lm":
             result = solve_lsq_with_hops(
-                X0, t, opts=opts, seed=seed + 1,
+                X0, t, seed=seed + 1,
                 hops=_MAX_HOPS if antipodal or best is None else 2)
         else:
             result = minimize_variational(X0, spec)
@@ -410,8 +410,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         for _ in range(_REFINE_TICKETS):
             if best.geometry.rho <= _RHO_REFINE:
                 break
-            trial = solve_lsq(_kick(best.pointset, rng, _HOP_SIGMAS[0]), t,
-                              opts=opts)
+            trial = solve_lsq(_kick(best.pointset, rng, _HOP_SIGMAS[0]), t)
             best = _scored(trial, best)
     result = best if best is not None else best_any
     if result.geometry is None:

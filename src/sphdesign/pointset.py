@@ -92,7 +92,8 @@ def geodesic_dist(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     for v in (x, y):
-        if abs(np.linalg.norm(v) - 1.0) > UNIT_TOL:
+        # written so that NaN and Inf norms fail it too
+        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
             raise InvalidPointError("geodesic_dist requires unit vectors")
     return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
 

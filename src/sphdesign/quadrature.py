@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import criteria
+from . import criteria, specfun
 from .errors import InvalidParameterError
 from .summation import comp_sum
 
@@ -77,12 +77,10 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     if X.d == 2:
         res = criteria.weyl_residual(X, t_max)
         scaled = np.abs(res.r) / X.N
-        exact = 0
-        for ell in range(1, t_max + 1):
-            # degree ell holds rows ell^2 - 1 .. (ell + 1)^2 - 2
-            if np.max(scaled[ell * ell - 1:(ell + 1) ** 2 - 1]) > tolerance:
-                break
-            exact = ell
+        # rows run by ascending degree: the first failing row ends the
+        # exact degrees
+        failed = specfun.row_degrees(t_max)[scaled > tolerance]
+        exact = int(failed[0]) - 1 if failed.size else t_max
         max_abs = float(np.max(scaled))
         rtr = res.rtr
         is_design = max_abs <= tolerance

@@ -1,6 +1,13 @@
 """Jacobi polynomials, normalized Legendre polynomials, real spherical
 harmonics on S^2, harmonic-space dimensions, and largest Jacobi zeros.
 
+Every function takes plain numbers and arrays: the Jacobi functions
+take alpha, beta and the degree n (jacobi_eval(alpha, beta, n, z)), the
+S^2 harmonics an (M, 3) array of unit vectors (sph_harmonics_s2(L,
+coords) returns the values and the tables they were built from).  The
+harmonic basis holds degrees 1..L, degree l in rows l^2 - 1 ..
+(l+1)^2 - 2 (row_degrees).
+
 All harmonic evaluation uses stable three-term recurrences in double
 precision; every ratio of gamma functions goes through log-gamma
 differences so large degrees do not overflow.
@@ -17,11 +24,6 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import InvalidDimensionError, InvalidParameterError
 
 MAX_HARMONIC_DEGREE = 2000
-
-
-def gamma_ratio(a, b):
-    """Gamma(a)/Gamma(b) via log-gamma differences."""
-    return exp(lgamma(a) - lgamma(b))
 
 
 def dim_harmonic(d, ell):
@@ -49,18 +51,11 @@ def dim_poly(d, t):
     return dim_harmonic(d + 1, t)
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Parameters (alpha, beta, degree) of one Jacobi polynomial."""
-    alpha: float
-    beta: float
-    ell: int
-
-    def __post_init__(self):
-        if self.alpha <= -1 or self.beta <= -1:
-            raise InvalidParameterError("jacobi parameters must exceed -1")
-        if self.ell < 0:
-            raise InvalidParameterError("jacobi degree must be >= 0")
+def _check_jacobi(alpha, beta, n):
+    if alpha <= -1 or beta <= -1:
+        raise InvalidParameterError("jacobi parameters must exceed -1")
+    if n < 0:
+        raise InvalidParameterError("jacobi degree must be >= 0")
 
 
 def jacobi_batch(alpha, beta, L, z):
@@ -69,10 +64,7 @@ def jacobi_batch(alpha, beta, L, z):
     Returns an array of shape (L+1,) + shape(z), filled by the standard
     three-term recurrence.
     """
-    if alpha <= -1 or beta <= -1:
-        raise InvalidParameterError("jacobi parameters must exceed -1")
-    if L < 0:
-        raise InvalidParameterError("max degree must be >= 0")
+    _check_jacobi(alpha, beta, L)
     z = np.asarray(z, dtype=float)
     out = np.empty((L + 1,) + z.shape)
     out[0] = 1.0
@@ -90,25 +82,25 @@ def jacobi_batch(alpha, beta, L, z):
     return out
 
 
-def jacobi_eval(p, z):
-    """Value of the Jacobi polynomial described by JacobiParams p at z.
+def jacobi_eval(alpha, beta, n, z):
+    """Value of P_n^(alpha,beta) at z.
 
     Runs the recurrence of jacobi_batch, with the same arithmetic, but
     keeps only the last two degrees.
     """
+    _check_jacobi(alpha, beta, n)
     z = np.asarray(z, dtype=float)
     prev = np.ones(z.shape)
-    if p.ell == 0:
+    if n == 0:
         return prev
-    alpha, beta = p.alpha, p.beta
     ab = alpha + beta
     cur = 0.5 * (ab + 2.0) * z + 0.5 * (alpha - beta)
-    for n in range(2, p.ell + 1):
-        c = 2.0 * n + ab
-        a1 = 2.0 * n * (n + ab) * (c - 2.0)
+    for k in range(2, n + 1):
+        c = 2.0 * k + ab
+        a1 = 2.0 * k * (k + ab) * (c - 2.0)
         a2 = (c - 1.0) * (alpha * alpha - beta * beta)
         a3 = (c - 2.0) * (c - 1.0) * c
-        a4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * c
+        a4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * c
         nxt = a3 * z
         nxt += a2
         nxt *= cur
@@ -124,12 +116,13 @@ def jacobi_at_one(alpha, ell):
     return exp(lgamma(ell + alpha + 1.0) - lgamma(ell + 1.0) - lgamma(alpha + 1.0))
 
 
-def jacobi_deriv(p, z):
-    """Derivative of P_ell^(alpha,beta) at z."""
-    if p.ell == 0:
+def jacobi_deriv(alpha, beta, n, z):
+    """Derivative of P_n^(alpha,beta) at z."""
+    _check_jacobi(alpha, beta, n)
+    if n == 0:
         return np.zeros_like(np.asarray(z, dtype=float))
-    q = JacobiParams(p.alpha + 1.0, p.beta + 1.0, p.ell - 1)
-    return 0.5 * (p.ell + p.alpha + p.beta + 1.0) * jacobi_eval(q, z)
+    return 0.5 * (n + alpha + beta + 1.0) * jacobi_eval(
+        alpha + 1.0, beta + 1.0, n - 1, z)
 
 
 def legendre_norm(d, ell, z):
@@ -137,7 +130,7 @@ def legendre_norm(d, ell, z):
     if d < 2:
         raise InvalidDimensionError("normalized Legendre needs d >= 2")
     alpha = 0.5 * (d - 2.0)
-    return jacobi_eval(JacobiParams(alpha, alpha, ell), z) / jacobi_at_one(alpha, ell)
+    return jacobi_eval(alpha, alpha, ell, z) / jacobi_at_one(alpha, ell)
 
 
 def legendre_norm_batch(d, L, z):
@@ -150,14 +143,6 @@ def legendre_norm_batch(d, L, z):
     return vals / scale.reshape((L + 1,) + (1,) * (vals.ndim - 1))
 
 
-def legendre_norm_deriv(d, ell, z):
-    """d/dz of the normalized Legendre polynomial P_ell^(d+1)."""
-    if ell == 0:
-        return np.zeros_like(np.asarray(z, dtype=float))
-    factor = ell * (ell + d - 1.0) / d
-    return factor * legendre_norm(d + 2, ell - 1, z)
-
-
 def jacobi_largest_zero(alpha, beta, n, polish=True):
     """Largest zero of P_n^(alpha,beta) via the symmetric eigenvalue method.
 
@@ -165,9 +150,8 @@ def jacobi_largest_zero(alpha, beta, n, polish=True):
     built from the monic recurrence coefficients; one Newton step then
     polishes the largest one.
     """
-    if alpha <= -1 or beta <= -1:
-        raise InvalidParameterError("jacobi parameters must exceed -1")
-    if n < 1:
+    _check_jacobi(alpha, beta, n)
+    if n == 0:
         raise InvalidParameterError("a degree-0 polynomial has no zero")
     ab = alpha + beta
     diag = np.empty(n)
@@ -186,9 +170,8 @@ def jacobi_largest_zero(alpha, beta, n, polish=True):
     else:
         gamma = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
     if polish:
-        p = JacobiParams(alpha, beta, n)
-        f = float(jacobi_eval(p, gamma))
-        fp = float(jacobi_deriv(p, gamma))
+        f = float(jacobi_eval(alpha, beta, n, gamma))
+        fp = float(jacobi_deriv(alpha, beta, n, gamma))
         if fp != 0.0:
             step = f / fp
             if abs(step) < 1e-6:
@@ -309,10 +292,9 @@ class HarmonicTables:
     trig: np.ndarray
 
 
-def _harmonic_tables(L, X):
-    """Schmidt and trigonometric tables of the points of X (see
-    sph_harmonics_s2 for what X may be)."""
-    coords = _check_s2(X, L)
+def _harmonic_tables(L, coords):
+    """Schmidt and trigonometric tables of the (M, 3) array coords."""
+    coords = _check_s2(coords, L)
     x, phi2 = _s2_angles(coords)
     kphi = np.multiply.outer(np.arange(1, L + 1), phi2)
     trig = np.empty((2 * L + 1, coords.shape[0]))
@@ -320,6 +302,15 @@ def _harmonic_tables(L, X):
     trig[L] = 1.0
     trig[L + 1:] = np.cos(kphi)
     return HarmonicTables(L=L, q=_schmidt_table(L, x), trig=trig)
+
+
+@lru_cache(maxsize=None)
+def row_degrees(L):
+    """Degree of each row of the harmonic basis up to degree L: degree
+    l fills its 2l+1 rows l^2 - 1 .. (l+1)^2 - 2 (read-only)."""
+    l = np.arange(1, L + 1)
+    deg, = _frozen(np.repeat(l, 2 * l + 1))
+    return deg
 
 
 class _BasisLayout(NamedTuple):
@@ -339,33 +330,18 @@ class _BasisLayout(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _basis_layout(L, include_degree0):
+def _basis_layout(L):
     """Row layout of the basis up to degree L.  In-degree index s runs
     -l..l; the normalization is sqrt(2l+1) for s = 0, else sqrt(2(2l+1))."""
-    l = np.arange(0 if include_degree0 else 1, L + 1)
-    ls, pos = _degree_runs(l, 2 * l + 1)
-    s = pos - ls
+    ls = row_degrees(L)
+    # the zonal row of degree l is row l^2 - 1 + l
+    s = np.arange(ls.size) + 1 - ls * (ls + 1)
     coef = np.where(s == 0, np.sqrt(2.0 * ls + 1.0),
                     np.sqrt(2.0 * (2.0 * ls + 1.0)))
     return _BasisLayout(*_frozen(
         _row(ls, np.abs(s)), L + s, coef[:, None], L - s,
         np.where(s > 0, -coef, coef)[:, None],
         np.abs(s).astype(float)[:, None], s == 0))
-
-
-@dataclass
-class HarmonicBasisEval:
-    """Real orthonormal spherical-harmonic values on S^2.
-
-    values has one row per basis function; the block for degree l holds
-    2l+1 rows ordered sin(l phi2)..sin(phi2), the zonal term, then
-    cos(phi2)..cos(l phi2).  tables are the tables the values were
-    built from, for reuse by sph_harmonics_s2_jacobian.
-    """
-    L: int
-    include_degree0: bool
-    values: np.ndarray
-    tables: HarmonicTables = None
 
 
 def _s2_angles(coords):
@@ -375,35 +351,34 @@ def _s2_angles(coords):
     return x, phi2
 
 
-def _check_s2(X, L):
-    coords = getattr(X, "coords", X)
+def _check_s2(coords, L):
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise InvalidDimensionError("spherical harmonics here require d = 2")
     if L > MAX_HARMONIC_DEGREE:
         raise InvalidParameterError(
             "degree %d exceeds the stability cap %d" % (L, MAX_HARMONIC_DEGREE))
-    if getattr(X, "symmetric", False):
-        coords = np.vstack([coords, -coords])
     return coords
 
 
-def sph_harmonics_s2(L, X, include_degree0=False):
-    """Evaluate the real orthonormal harmonic basis up to degree L.
+def sph_harmonics_s2(L, coords):
+    """The real orthonormal harmonic basis of degrees 1..L at the rows
+    of the (M, 3) array coords of unit vectors.
 
-    X may be a PointSet with d=2 (symmetric sets are expanded) or a
-    plain (M, 3) array of unit vectors.
+    Returns (values, tables).  values has one row per basis function;
+    the block of degree l holds 2l+1 rows ordered sin(l phi2)..sin(phi2),
+    the zonal term, then cos(phi2)..cos(l phi2).  tables are the tables
+    the values were built from, for reuse by sph_harmonics_s2_jacobian.
     """
-    tables = _harmonic_tables(L, X)
-    lay = _basis_layout(L, include_degree0)
+    tables = _harmonic_tables(L, coords)
+    lay = _basis_layout(L)
     out = tables.q[lay.rows]
     out *= lay.coef
     out *= tables.trig[lay.trig_rows]
-    return HarmonicBasisEval(L=L, include_degree0=include_degree0,
-                             values=out, tables=tables)
+    return out, tables
 
 
-def sph_harmonics_s2_jacobian(L, X, include_degree0=False, tables=None):
+def sph_harmonics_s2_jacobian(L, coords, tables=None):
     """Analytic derivatives of the harmonic basis w.r.t. (phi1, phi2).
 
     phi1 is the colatitude from the first axis, phi2 the azimuth in the
@@ -414,10 +389,10 @@ def sph_harmonics_s2_jacobian(L, X, include_degree0=False, tables=None):
     building them again.
     """
     if tables is None:
-        tables = _harmonic_tables(L, X)
-    elif tables.L != L or tables.trig.shape[1] != _check_s2(X, L).shape[0]:
+        tables = _harmonic_tables(L, coords)
+    elif tables.L != L or tables.trig.shape[1] != _check_s2(coords, L).shape[0]:
         raise InvalidParameterError("harmonic tables of other points or degree")
-    lay = _basis_layout(L, include_degree0)
+    lay = _basis_layout(L)
     d1 = _schmidt_theta_deriv(L, tables.q)[lay.rows]
     d1 *= lay.coef
     d1 *= tables.trig[lay.trig_rows]

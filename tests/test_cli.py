@@ -11,7 +11,7 @@ import pytest
 import sphdesign
 from sphdesign import polytopes
 from sphdesign.cli import main
-from sphdesign.pointset import read_pointset, write_pointset
+from sphdesign.pointset import PointSet, read_pointset, write_pointset
 
 
 @pytest.fixture
@@ -130,6 +130,20 @@ class TestGeom:
     def test_coincident_points(self, tmp_path, capsys):
         path = tmp_path / "repeated.txt"
         path.write_text("1 0 0\n0 1 0\n0 0 1\n1 0 0\n")
+        assert main(["geom", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: coincident points")
+
+    def test_repeated_row_below_unit_gram(self, tmp_path, capsys):
+        # the Gram entry of this repeated row rounds to 0.9999999999999999
+        v = np.array([1.0, 2.0, 2.0])
+        v /= np.linalg.norm(v)
+        path = tmp_path / "repeated.txt"
+        write_pointset(PointSet(d=2, coords=np.vstack([v, v, np.eye(3)])),
+                       path)
+        coords = read_pointset(str(path)).coords
+        assert (coords @ coords.T)[0, 1] < 1.0
         assert main(["geom", str(path)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -19,6 +19,7 @@ from sphdesign.pointset import (ParamVector, PointSet, _free_slots, n_free,
                                 normalize_pointset, param_jacobian_point,
                                 param_to_points, points_to_param)
 from sphdesign.specfun import dim_harmonic, legendre_norm
+from sphdesign.summation import comp_sum
 
 
 def _random_set(d, N, seed=0, symmetric=False):
@@ -281,7 +282,7 @@ class TestWeylResidual:
             X = _random_set(2, 11, seed)
             for t in (2, 5, 8):
                 spec = make_psi(PSI3, 2, t)
-                res = weyl_residual(X, t, spec)
+                res = weyl_residual(X, t)
                 v = variational_value(X, spec)
                 assert v == pytest.approx(spec.a0 * res.rtr / X.N ** 2,
                                           rel=1e-10)
@@ -292,9 +293,10 @@ class TestWeylResidual:
         for kind in (PSI1, PSI2):
             t = 6
             spec = make_psi(kind, 2, t)
-            res = weyl_residual(X, t, spec)
+            r = weyl_residual(X, t).r
+            weighted = comp_sum(residual_weights(spec) * r * r)
             assert variational_value(X, spec) == pytest.approx(
-                res.weighted / X.N ** 2, rel=1e-9)
+                weighted / X.N ** 2, rel=1e-9)
 
     def test_design_residual_vanishes(self):
         res = weyl_residual(polytopes.octahedron(), 3)
@@ -309,6 +311,32 @@ class TestWeylResidual:
         for l, b in enumerate(blocks, start=1):
             assert np.allclose(b, b[0])
             assert b.size == dim_harmonic(2, l)
+
+    def test_weights_and_mask_match_degree_loops(self):
+        # the per-degree loops the row-degree array replaced
+        for t in (1, 2, 5, 12):
+            for kind in KINDS:
+                spec = make_psi(kind, 2, t)
+                if kind == PSI3:
+                    a = [spec.a0 * (2 * ell + 1) for ell in range(1, t + 1)]
+                else:
+                    a = psi_coefficients(spec)[1:]
+                ref = np.concatenate([np.full(2 * ell + 1,
+                                              a[ell - 1] / (2 * ell + 1))
+                                      for ell in range(1, t + 1)])
+                assert residual_weights(spec).tobytes() == ref.tobytes()
+            ref = np.concatenate([np.full(2 * ell + 1, ell % 2 == 0)
+                                  for ell in range(1, t + 1)])
+            assert symmetric_row_mask(t).tobytes() == ref.tobytes()
+
+    def test_symmetric_pointset_expansion(self):
+        X = _random_set(2, 8, 8, symmetric=True)
+        t = 5
+        a = weyl_residual(X, t)
+        b = weyl_residual(X.expand(), t)
+        assert a.N == b.N == 8
+        assert a.r.tobytes() == b.r.tobytes()
+        assert a.weights.tobytes() == b.weights.tobytes()
 
     def test_reduced_matches_full_on_symmetric(self):
         X = _random_set(2, 12, 4, symmetric=True)

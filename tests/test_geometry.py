@@ -212,6 +212,18 @@ class TestMeshRatio:
         with pytest.raises(UndefinedMetricError):
             mesh_ratio(PointSet(d=2, coords=coords))
 
+    @pytest.mark.parametrize("scale", [1.0, 1.0 - 9e-13])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_repeated_row_undefined(self, seed, scale):
+        # the self dot product of a repeated row often rounds below 1,
+        # which leaves a tiny nonzero separation; a norm at the edge of
+        # the unit tolerance leaves the largest one
+        v = np.random.default_rng(seed).standard_normal(3)
+        v *= scale / np.linalg.norm(v)
+        X = PointSet(d=2, coords=np.vstack([v, v, np.eye(3)]))
+        with pytest.raises(UndefinedMetricError):
+            mesh_ratio(X)
+
     def test_calls_mesh_norm_through_module(self, monkeypatch):
         # wrappers installed on geometry.mesh_norm see mesh_ratio's call
         monkeypatch.setattr(geometry, "mesh_norm", lambda X, acc: (0.5, 0.0))

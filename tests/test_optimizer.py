@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphdesign import bounds as bounds_mod
-from sphdesign import geometry
+from sphdesign import geometry, optimizer
 from sphdesign.criteria import PSI1, PSI2, PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (CLASS_DESIGN, CLASS_LOCAL, SolveOptions,
@@ -58,12 +58,14 @@ class TestLsq:
         assert res.classification == CLASS_DESIGN
         assert verify_design(res.pointset, 2).is_design
 
-    def test_objective_never_increases(self):
+    def test_objective_never_increases(self, monkeypatch):
         # run twice with different iteration caps: the longer run ends
         # at least as low
         X0 = initial_points(2, 14, "equal_area_spiral")
-        short = solve_lsq(X0, 4, opts=SolveOptions(max_iterations=3))
-        long = solve_lsq(X0, 4, opts=SolveOptions(max_iterations=50))
+        monkeypatch.setattr(optimizer, "_LM_MAX_ITERATIONS", 3)
+        short = solve_lsq(X0, 4)
+        monkeypatch.setattr(optimizer, "_LM_MAX_ITERATIONS", 50)
+        long = solve_lsq(X0, 4)
         assert long.rtr <= short.rtr * (1.0 + 1e-12)
 
     def test_symmetric_solve(self):
@@ -215,8 +217,8 @@ def _clip_wrap_reference(p, values):
     return out
 
 
-def _hops_reference(X0, t, opts, seed, hops):
-    result = solve_lsq(X0, t, opts=opts)
+def _hops_reference(X0, t, seed, hops):
+    result = solve_lsq(X0, t)
     if result.converged or hops <= 0:
         return result
     rng = np.random.default_rng(seed)
@@ -230,7 +232,7 @@ def _hops_reference(X0, t, opts, seed, hops):
             d=p.d, N=p.N, symmetric=p.symmetric,
             values=_clip_wrap_reference(
                 p, p.values + rng.normal(0.0, sigma, p.values.size)))
-        trial = solve_lsq(param_to_points(kicked), t, opts=opts)
+        trial = solve_lsq(param_to_points(kicked), t)
         if trial.converged or _obj(trial) < _obj(result):
             trial.iterations += result.iterations
             result = trial
@@ -252,7 +254,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
         for k in range(4 * max(1, opts.restarts)):
             seed = opts.seed + 4000037 * (k + 1)
             X0 = initial_points(d, N, "symmetric_double", seed)
-            result = _hops_reference(X0, t, opts, seed + 1, _MAX_HOPS)
+            result = _hops_reference(X0, t, seed + 1, _MAX_HOPS)
             if result.converged:
                 result.pointset = result.pointset.expand()
                 result.geometry = geometry.mesh_ratio(result.pointset,
@@ -270,7 +272,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
         else:
             X0 = initial_points(d, N, "random_uniform", seed)
         if method == "lm":
-            result = _hops_reference(X0, t, opts, seed + 1,
+            result = _hops_reference(X0, t, seed + 1,
                                      _MAX_HOPS if best is None else 2)
         else:
             result = minimize_variational(X0, make_psi(PSI3, d, t))
@@ -292,7 +294,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
                 d=p.d, N=p.N, symmetric=p.symmetric,
                 values=_clip_wrap_reference(p, p.values + rng.normal(
                     0.0, _HOP_SIGMAS[0], p.values.size)))
-            trial = solve_lsq(param_to_points(kicked), t, opts=opts)
+            trial = solve_lsq(param_to_points(kicked), t)
             if trial.converged:
                 trial.geometry = geometry.mesh_ratio(trial.pointset,
                                                      accuracy=1e-4)

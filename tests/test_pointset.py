@@ -79,6 +79,14 @@ class TestBasics:
         with pytest.raises(InvalidPointError):
             geodesic_dist([2.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0],
+                                     [0.0, -np.inf]])
+    def test_geodesic_dist_rejects_non_finite(self, bad):
+        with pytest.raises(InvalidPointError):
+            geodesic_dist(bad, [1.0, 0.0])
+        with pytest.raises(InvalidPointError):
+            geodesic_dist([1.0, 0.0], bad)
+
     def test_n_free(self):
         # below d+1 points: triangular count; above: d per point minus
         # the pinned rotation

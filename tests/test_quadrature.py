@@ -22,8 +22,8 @@ def _random_set(d, N, seed=0):
 def _degree_max_weyl_s2(X, t_max):
     """Per-degree max |r_{l,k}|/N for l = 1..t_max and the raw sums: the
     former verification path of S^2, kept as an oracle."""
-    basis = specfun.sph_harmonics_s2(t_max, X, include_degree0=False)
-    sums = comp_sum(basis.values, axis=1)
+    values, _ = specfun.sph_harmonics_s2(t_max, X.expanded())
+    sums = comp_sum(values, axis=1)
     N = X.N
     out = np.empty(t_max)
     pos = 0

@@ -8,12 +8,10 @@ from scipy.integrate import quad
 from scipy.special import eval_jacobi, roots_jacobi
 
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
-from sphdesign.pointset import PointSet
-from sphdesign.specfun import (JacobiParams, dim_harmonic, dim_poly,
-                               gamma_ratio, jacobi_at_one, jacobi_batch,
-                               jacobi_deriv, jacobi_eval,
+from sphdesign.specfun import (dim_harmonic, dim_poly, jacobi_at_one,
+                               jacobi_batch, jacobi_deriv, jacobi_eval,
                                jacobi_largest_zero, legendre_norm,
-                               legendre_norm_batch, legendre_norm_deriv,
+                               legendre_norm_batch, row_degrees,
                                sph_harmonics_s2, sph_harmonics_s2_jacobian)
 
 
@@ -73,19 +71,27 @@ class TestJacobi:
                     direct, rel=1e-12)
 
     def test_deriv_finite_difference(self):
-        p = JacobiParams(1.5, 0.5, 7)
         z = np.linspace(-0.9, 0.9, 13)
         h = 1e-6
-        fd = (jacobi_eval(p, z + h) - jacobi_eval(p, z - h)) / (2.0 * h)
-        assert np.allclose(jacobi_deriv(p, z), fd, rtol=1e-7, atol=1e-7)
+        fd = (jacobi_eval(1.5, 0.5, 7, z + h)
+              - jacobi_eval(1.5, 0.5, 7, z - h)) / (2.0 * h)
+        assert np.allclose(jacobi_deriv(1.5, 0.5, 7, z), fd, rtol=1e-7,
+                           atol=1e-7)
+
+    def test_eval_matches_batch_bitwise(self):
+        z = np.linspace(-1.0, 1.0, 23)
+        vals = jacobi_batch(1.5, 0.5, 9, z)
+        for n in range(10):
+            assert jacobi_eval(1.5, 0.5, n, z).tobytes() == vals[n].tobytes()
 
     def test_param_validation(self):
-        with pytest.raises(InvalidParameterError):
-            JacobiParams(-1.0, 0.0, 3)
-        with pytest.raises(InvalidParameterError):
-            JacobiParams(0.0, 0.0, -1)
-        with pytest.raises(InvalidParameterError):
-            jacobi_batch(0.0, -1.5, 4, 0.3)
+        for fn in (jacobi_eval, jacobi_deriv, jacobi_batch):
+            with pytest.raises(InvalidParameterError):
+                fn(-1.0, 0.0, 3, 0.3)
+            with pytest.raises(InvalidParameterError):
+                fn(0.0, -1.5, 4, 0.3)
+            with pytest.raises(InvalidParameterError):
+                fn(0.0, 0.0, -1, 0.3)
 
 
 class TestLegendreNorm:
@@ -120,16 +126,6 @@ class TestLegendreNorm:
                           -1.0, 1.0)
             assert abs(val) < 1e-12
 
-    def test_deriv_finite_difference(self):
-        z = np.linspace(-0.9, 0.9, 11)
-        h = 1e-6
-        for d in (2, 3, 5):
-            for ell in (1, 2, 6, 11):
-                fd = (legendre_norm(d, ell, z + h)
-                      - legendre_norm(d, ell, z - h)) / (2.0 * h)
-                assert np.allclose(legendre_norm_deriv(d, ell, z), fd,
-                                   rtol=1e-6, atol=1e-6)
-
 
 class TestLargestZero:
     def test_matches_scipy_roots(self):
@@ -142,7 +138,7 @@ class TestLargestZero:
     def test_is_a_zero(self):
         for n in (3, 9, 21):
             g = jacobi_largest_zero(1.5, 0.5, n)
-            val = float(jacobi_eval(JacobiParams(1.5, 0.5, n), g))
+            val = float(jacobi_eval(1.5, 0.5, n, g))
             assert abs(val) < 1e-9
 
     def test_invalid(self):
@@ -186,17 +182,15 @@ def _oracle_tables(L, coords):
     return q, dq, idx
 
 
-def _oracle_harmonics(L, coords, include_degree0):
+def _oracle_harmonics(L, coords):
     """Values and (phi1, phi2) derivatives row by row, one (l, k) at a time."""
     q, dq, idx = _oracle_tables(L, coords)
     phi2 = np.arctan2(coords[:, 2], coords[:, 1])
-    lo = 0 if include_degree0 else 1
-    nrows = (L + 1) ** 2 - lo
-    out = np.empty((nrows, coords.shape[0]))
+    out = np.empty(((L + 1) ** 2 - 1, coords.shape[0]))
     d1 = np.zeros_like(out)
     d2 = np.zeros_like(out)
     row = 0
-    for l in range(lo, L + 1):
+    for l in range(1, L + 1):
         c0 = np.sqrt(2.0 * l + 1.0)
         ck = np.sqrt(2.0 * (2.0 * l + 1.0))
         for k in range(l, 0, -1):
@@ -227,24 +221,22 @@ class TestHarmonicsAgainstLoops:
     def test_bitwise_equal_to_loops(self, L):
         coords = np.vstack([_random_s2(40, L), np.eye(3), -np.eye(3),
                             [[np.cos(0.3), np.sin(0.3), 0.0]]])
-        for include_degree0 in (False, True):
-            values, d1, d2 = _oracle_harmonics(L, coords, include_degree0)
-            basis = sph_harmonics_s2(L, coords, include_degree0)
-            assert _bitwise_equal(basis.values, values)
-            j1, j2 = sph_harmonics_s2_jacobian(L, coords, include_degree0)
-            assert _bitwise_equal(j1, d1)
-            assert _bitwise_equal(j2, d2)
-            r1, r2 = sph_harmonics_s2_jacobian(L, coords, include_degree0,
-                                               tables=basis.tables)
-            assert _bitwise_equal(r1, d1)
-            assert _bitwise_equal(r2, d2)
+        values, d1, d2 = _oracle_harmonics(L, coords)
+        got, tables = sph_harmonics_s2(L, coords)
+        assert _bitwise_equal(got, values)
+        j1, j2 = sph_harmonics_s2_jacobian(L, coords)
+        assert _bitwise_equal(j1, d1)
+        assert _bitwise_equal(j2, d2)
+        r1, r2 = sph_harmonics_s2_jacobian(L, coords, tables=tables)
+        assert _bitwise_equal(r1, d1)
+        assert _bitwise_equal(r2, d2)
 
     def test_tables_of_other_points_rejected(self):
-        basis = sph_harmonics_s2(4, _random_s2(6, 1))
+        _, tables = sph_harmonics_s2(4, _random_s2(6, 1))
         with pytest.raises(InvalidParameterError):
-            sph_harmonics_s2_jacobian(4, _random_s2(7, 1), tables=basis.tables)
+            sph_harmonics_s2_jacobian(4, _random_s2(7, 1), tables=tables)
         with pytest.raises(InvalidParameterError):
-            sph_harmonics_s2_jacobian(5, _random_s2(6, 1), tables=basis.tables)
+            sph_harmonics_s2_jacobian(5, _random_s2(6, 1), tables=tables)
 
 
 class TestHarmonics:
@@ -252,7 +244,7 @@ class TestHarmonics:
         # sum_k Y_{l,k}(x) Y_{l,k}(y) = (2l+1) P_l(x . y)
         coords = _random_s2(40, 2)
         L = 25
-        Y = sph_harmonics_s2(L, coords).values
+        Y, _ = sph_harmonics_s2(L, coords)
         g = np.clip(coords @ coords.T, -1.0, 1.0)
         row = 0
         for l in range(1, L + 1):
@@ -266,7 +258,7 @@ class TestHarmonics:
         # sum over the degree block of Y^2 at a single point equals 2l+1
         coords = _random_s2(6, 9)
         L = 200
-        Y = sph_harmonics_s2(L, coords).values
+        Y, _ = sph_harmonics_s2(L, coords)
         row = 0
         for l in range(1, L + 1):
             block = Y[row:row + 2 * l + 1]
@@ -284,23 +276,23 @@ class TestHarmonics:
         p = np.tile(phi, nodes.size)
         s = np.sqrt(1.0 - x * x)
         coords = np.stack([x, s * np.cos(p), s * np.sin(p)], axis=1)
-        Y = sph_harmonics_s2(L, coords, include_degree0=True).values
+        # the degree-0 harmonic, the constant 1, is not in the basis
+        Y = np.vstack([np.ones((1, coords.shape[0])),
+                       sph_harmonics_s2(L, coords)[0]])
         w = np.repeat(weights, M) / (2.0 * M)
         G = (Y * w) @ Y.T
         assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
 
     def test_degree0_row(self):
+        # the basis starts at degree 1: degree l fills rows l^2-1..(l+1)^2-2
         coords = _random_s2(5, 4)
-        Y = sph_harmonics_s2(3, coords, include_degree0=True).values
-        assert np.allclose(Y[0], 1.0)
-        assert Y.shape[0] == 16
-
-    def test_symmetric_pointset_expansion(self):
-        coords = _random_s2(4, 8)
-        X = PointSet(d=2, coords=coords, symmetric=True)
-        Y = sph_harmonics_s2(5, X).values
-        Yfull = sph_harmonics_s2(5, np.vstack([coords, -coords])).values
-        assert np.array_equal(Y, Yfull)
+        Y, _ = sph_harmonics_s2(3, coords)
+        assert Y.shape == (15, 5)
+        deg = row_degrees(3)
+        assert deg.tolist() == [1] * 3 + [2] * 5 + [3] * 7
+        assert deg is row_degrees(3)
+        with pytest.raises(ValueError):
+            deg[0] = 0
 
     def test_jacobian_finite_difference(self):
         rng = np.random.default_rng(5)
@@ -314,10 +306,10 @@ class TestHarmonics:
         L = 12
         d1, d2 = sph_harmonics_s2_jacobian(L, embed(phi1, phi2))
         h = 1e-6
-        f1 = (sph_harmonics_s2(L, embed(phi1 + h, phi2)).values
-              - sph_harmonics_s2(L, embed(phi1 - h, phi2)).values) / (2 * h)
-        f2 = (sph_harmonics_s2(L, embed(phi1, phi2 + h)).values
-              - sph_harmonics_s2(L, embed(phi1, phi2 - h)).values) / (2 * h)
+        f1 = (sph_harmonics_s2(L, embed(phi1 + h, phi2))[0]
+              - sph_harmonics_s2(L, embed(phi1 - h, phi2))[0]) / (2 * h)
+        f2 = (sph_harmonics_s2(L, embed(phi1, phi2 + h))[0]
+              - sph_harmonics_s2(L, embed(phi1, phi2 - h))[0]) / (2 * h)
         assert np.allclose(d1, f1, rtol=1e-5, atol=1e-5)
         assert np.allclose(d2, f2, rtol=1e-5, atol=1e-5)
 
@@ -329,11 +321,3 @@ class TestHarmonics:
         with pytest.raises(InvalidParameterError):
             sph_harmonics_s2(2001, np.eye(3))
 
-
-def test_gamma_ratio():
-    assert gamma_ratio(7.0, 5.0) == pytest.approx(30.0, rel=1e-13)
-    assert gamma_ratio(150.5, 150.0) == pytest.approx(
-        math.gamma(150.5) / math.gamma(150.0), rel=1e-12)
-    # large arguments must not overflow even though gamma itself would
-    assert gamma_ratio(5000.5, 5000.0) == pytest.approx(
-        math.sqrt(5000.0), rel=1e-3)
