@@ -24,9 +24,16 @@ ANGLE_FMT = "%.4f"
 RHO_FMT = "%.2f"
 
 
-def cmd_bounds(args):
+def _check_range(args):
+    """Reject a bad dimension or degree range before any output."""
+    if args.d < 1:
+        raise SphDesignError("d must be >= 1, got %d" % args.d)
     if args.t_min > args.t_max or args.t_min < 1:
         raise SphDesignError("need 1 <= t-min <= t-max")
+
+
+def cmd_bounds(args):
+    _check_range(args)
     out = sys.stdout
     out.write("t,N_star,N_plus,N_hat,N_bar,dim_poly\n")
     for t in range(args.t_min, args.t_max + 1):
@@ -42,8 +49,7 @@ def cmd_bounds(args):
 def cmd_gen(args):
     opts = optimizer.SolveOptions(seed=args.seed, restarts=args.restarts)
     result = optimizer.generate_design(args.d, args.t, N=args.n,
-                                       symmetric=args.symmetric, opts=opts,
-                                       method=args.method, psi=args.psi)
+                                       symmetric=args.symmetric, opts=opts)
     write_pointset(result.pointset, args.output, t=args.t)
     geo = result.geometry
     line = ("t=%d N=%d converged=%s V1=" + V_FMT + " V2=" + V_FMT +
@@ -75,17 +81,17 @@ def _fmt_opt(v):
 
 def cmd_geom(args):
     X = read_pointset(args.file)
-    rep = geometry.mesh_ratio(X, accuracy=args.accuracy)
+    rep = geometry.mesh_ratio(X)
     print(("delta=" + ANGLE_FMT + " h=" + ANGLE_FMT + " rho=" + RHO_FMT)
           % (rep.delta, rep.h, rep.rho))
     return 0
 
 
 def cmd_table(args):
-    if args.t_min > args.t_max or args.t_min < 1:
-        raise SphDesignError("need 1 <= t-min <= t-max")
-    out = sys.stdout
-    out.write("t,N_star,N_plus,N,n,m,V_psi1,V_psi2,V_psi3,rTr,delta,h,rho\n")
+    _check_range(args)
+    # rows are written once all are built, so a bad design file leaves
+    # no partial table on stdout
+    out = ["t,N_star,N_plus,N,n,m,V_psi1,V_psi2,V_psi3,rTr,delta,h,rho\n"]
     for t in range(args.t_min, args.t_max + 1):
         if args.symmetric and t % 2 == 0:
             continue
@@ -100,7 +106,7 @@ def cmd_table(args):
         if not os.path.exists(path):
             sys.stderr.write("warning: missing design file %s\n" % path)
             n = n_free(args.d, default_n, args.symmetric)
-            out.write("%d,%d,%d,%d,%d,%d,,,,,,,\n" % (
+            out.append("%d,%d,%d,%d,%d,%d,,,,,,,\n" % (
                 t, row.n_star, row.n_plus, default_n, n, m))
             continue
         X = read_pointset(path)
@@ -110,11 +116,13 @@ def cmd_table(args):
                                  % (path, X.d, args.d))
         vs = criteria.variational_values(X, t)
         rtr = criteria.weyl_residual(X, t).rtr if args.d == 2 else float("nan")
-        geo = geometry.mesh_ratio(X, accuracy=1e-4)
-        out.write(("%d,%d,%d,%d,%d,%d," + V_FMT + "," + V_FMT + "," + V_FMT +
-                   ",%s," + ANGLE_FMT + "," + ANGLE_FMT + "," + RHO_FMT + "\n")
-                  % (t, row.n_star, row.n_plus, X.N, n, m, vs[0], vs[1],
-                     vs[2], _fmt_opt(rtr), geo.delta, geo.h, geo.rho))
+        geo = geometry.mesh_ratio(X)
+        out.append(("%d,%d,%d,%d,%d,%d," + V_FMT + "," + V_FMT + "," + V_FMT
+                    + ",%s," + ANGLE_FMT + "," + ANGLE_FMT + "," + RHO_FMT
+                    + "\n")
+                   % (t, row.n_star, row.n_plus, X.N, n, m, vs[0], vs[1],
+                      vs[2], _fmt_opt(rtr), geo.delta, geo.h, geo.rho))
+    sys.stdout.write("".join(out))
     return 0
 
 
@@ -137,10 +145,6 @@ def build_parser():
     g.add_argument("--symmetric", action="store_true")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--restarts", type=int, default=5)
-    g.add_argument("--psi", choices=list(criteria.KINDS), default=None,
-                   help="criterion of --method grad")
-    g.add_argument("--method", choices=["lm", "grad"], default=None,
-                   help="lm (d = 2 only; the default there) or grad")
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_gen)
 
@@ -153,9 +157,6 @@ def build_parser():
 
     ge = sub.add_parser("geom", help="separation, mesh norm, mesh ratio")
     ge.add_argument("file")
-    ge.add_argument("--accuracy", type=float, default=1e-4,
-                    help="accepted for compatibility (minimum 1e-8); the "
-                         "mesh norm is computed exactly")
     ge.set_defaults(func=cmd_geom)
 
     tb = sub.add_parser("table", help="CSV summary over stored designs")

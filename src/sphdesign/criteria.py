@@ -20,8 +20,8 @@ import numpy as np
 
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import PointSet, ParamVector, _free_slots, _require_normalized, \
-    _slot_jacobian, n_free, param_to_points
+from .pointset import (_free_slots, _require_normalized, _slot_jacobian,
+                       n_free, param_to_points)
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -244,17 +244,12 @@ class WeylResidual:
 
 
 @lru_cache(maxsize=None)
-def residual_weights(spec):
-    """Diagonal weights a_ell / Z(d, ell) per residual row (d = 2), as a
-    read-only array shared by every caller with the same spec."""
-    if spec.d != 2:
-        raise InvalidDimensionError("weighted residuals are for d = 2")
-    if spec.kind == PSI3:
-        # a_ell = a0 Z(d, ell), so every weight collapses to a0
-        a = spec.a0 * (2 * np.arange(1, spec.t + 1) + 1)
-    else:
-        a = psi_coefficients(spec)[1:]
-    deg = specfun.row_degrees(spec.t)
+def residual_weights(t):
+    """Diagonal psi_3 weights a_ell / Z(2, ell) per residual row of
+    degree t, as a read-only array shared by every caller with that t."""
+    # a_ell = a0 Z(2, ell), so every weight collapses to a0
+    a = _a0_psi2(2, t) * (2 * np.arange(1, t + 1) + 1)
+    deg = specfun.row_degrees(t)
     w = a[deg - 1] / (2 * deg + 1)
     w.setflags(write=False)
     return w
@@ -267,7 +262,7 @@ def weyl_residual(X, t):
         raise InvalidDimensionError("Weyl residuals require d = 2")
     values, tables = specfun.sph_harmonics_s2(t, X.expanded())
     return WeylResidual(t=t, N=X.N, r=comp_sum(values, axis=1),
-                        weights=residual_weights(make_psi(PSI3, 2, t)),
+                        weights=residual_weights(t),
                         tables=tables)
 
 
@@ -295,7 +290,7 @@ def weyl_residual_reduced(X, t):
     mask = symmetric_row_mask(t)
     r = 2.0 * comp_sum(values[mask], axis=1)
     return WeylResidual(t=t, N=X.N, r=r,
-                        weights=residual_weights(make_psi(PSI3, 2, t))[mask],
+                        weights=residual_weights(t)[mask],
                         tables=tables)
 
 

@@ -2,12 +2,14 @@
 
 Two engines are provided.  For S^2 a Levenberg-Marquardt iteration on
 the weighted Weyl-sum residual, with the search direction solving
-(A^T D A + nu I) p = -A^T D r.  For any dimension a bound-constrained
-limited-memory quasi-Newton minimization of the variational value V.
+(A^T D A + nu I) p = -A^T D r.  For any dimension and psi a
+bound-constrained limited-memory quasi-Newton minimization of the
+variational value V.
 
-generate_design runs seeded start plans, antipodal ones first, through
-one loop and keeps, among the runs that reach the design tolerance, the
-one with the smallest mesh ratio.
+generate_design lets the dimension pick the engine: Levenberg-Marquardt
+on S^2, quasi-Newton descent on V_psi3 for d > 2.  It runs seeded start
+plans, antipodal ones first, through one loop and keeps, among the runs
+that reach the design tolerance, the one with the smallest mesh ratio.
 """
 
 from dataclasses import dataclass
@@ -19,13 +21,10 @@ from scipy.optimize import minimize
 
 from . import bounds as bounds_mod
 from . import criteria, geometry
-from .criteria import make_psi, PSI2, PSI3
+from .criteria import make_psi, PSI3
 from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import (PointSet, ParamVector, TWO_PI, normalize_pointset,
                        param_to_points, points_to_param)
-
-CLASS_DESIGN = "design-within-tolerance"
-CLASS_LOCAL = "local-minimum-positive"
 
 _LM_NU0 = 1e-2
 _LM_NU_UP = 10.0
@@ -70,10 +69,6 @@ class SolveResult:
     iterations: int
     geometry: Optional[geometry.GeometryReport]
     t: int
-
-    @property
-    def classification(self):
-        return CLASS_DESIGN if self.converged else CLASS_LOCAL
 
     @cached_property
     def variational(self):
@@ -324,23 +319,22 @@ def _scored(result, best):
     candidate wins ties.  A converged result gets its geometry."""
     if not result.converged:
         return best
-    result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+    result.geometry = geometry.mesh_ratio(result.pointset)
     if best is None or result.geometry.rho < best.geometry.rho:
         return result
     return best
 
 
-def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
-                    method=None, psi=None):
+def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
     """Multi-start pipeline: default N, seeded starts, solve, verify,
     keep the converged run with the smallest mesh ratio.
 
-    method "lm" is Levenberg-Marquardt with hops (d = 2 only, the
-    default there); "grad" is quasi-Newton descent on the variational
-    value of psi (default psi3, psi2 on S^2).  The start plans run in
-    this order, the earlier winning ties on mesh ratio:
+    The dimension picks the engine: on S^2 Levenberg-Marquardt with
+    hops, for d > 2 quasi-Newton descent on the variational value of
+    psi3.  The start plans run in this order, the earlier winning ties
+    on mesh ratio:
 
-    - antipodal ("lm", odd t, even N, not symmetric): 4 * restarts
+    - antipodal (S^2, odd t, even N, not symmetric): 4 * restarts
       mirrored random starts, solved for the N/2 representatives with
       _MAX_HOPS hops, then expanded.  They satisfy every odd degree
       structurally, which leaves an even-degree system with slack.
@@ -349,8 +343,8 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
       with _MAX_HOPS hops while no plan has converged, then 2.
 
     If none converges, the general run with the lowest residual is
-    returned.  With "lm" a refine pass re-solves gently kicked copies
-    of the winner while its mesh ratio exceeds _RHO_REFINE.
+    returned.  On S^2 a refine pass re-solves gently kicked copies of
+    the winner while its mesh ratio exceeds _RHO_REFINE.
     """
     if t < 1:
         raise InvalidParameterError("t must be >= 1")
@@ -361,18 +355,10 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
     if opts.restarts < 1:
         raise InvalidParameterError(
             "restarts must be >= 1, got %d" % opts.restarts)
-    if method is None:
-        method = "lm" if d == 2 else "grad"
-    if method not in ("lm", "grad"):
-        raise InvalidParameterError("unknown method %r" % (method,))
-    if method == "lm" and d != 2:
-        raise InvalidDimensionError("method 'lm' requires d = 2")
-    if method == "lm" and psi is not None:
-        raise InvalidParameterError("psi applies to method 'grad' only")
     if N is None:
         N = bounds_mod.n_default(d, t, symmetric)
     plans = []
-    if method == "lm" and not symmetric and t % 2 == 1 and N % 2 == 0:
+    if d == 2 and not symmetric and t % 2 == 1 and N % 2 == 0:
         plans += [("symmetric_double", opts.seed + 4000037 * (k + 1), True)
                   for k in range(4 * opts.restarts)]
     for k in range(opts.restarts):
@@ -383,14 +369,13 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         else:
             kind = "random_uniform"
         plans.append((kind, opts.seed + 1000003 * k, False))
-    if method == "grad":
-        spec = make_psi(psi if psi is not None else (PSI3 if d > 2 else PSI2),
-                        d, t)
+    if d != 2:
+        spec = make_psi(PSI3, d, t)
     best = None
     best_any = None
     for kind, seed, antipodal in plans:
         X0 = initial_points(d, N, kind, seed)
-        if method == "lm":
+        if d == 2:
             result = solve_lsq_with_hops(
                 X0, t, seed=seed + 1,
                 hops=_MAX_HOPS if antipodal or best is None else 2)
@@ -403,7 +388,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
         elif best_any is None or _obj(result) < _obj(best_any):
             best_any = result
         best = _scored(result, best)
-    if method == "lm" and best is not None:
+    if d == 2 and best is not None:
         # the accepted design may sit in a poorly covered basin; nearby
         # basins reached by gentle kicks often have a better mesh ratio
         rng = np.random.default_rng(opts.seed + 777)
@@ -414,7 +399,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions(),
             best = _scored(trial, best)
     result = best if best is not None else best_any
     if result.geometry is None:
-        result.geometry = geometry.mesh_ratio(result.pointset, accuracy=1e-4)
+        result.geometry = geometry.mesh_ratio(result.pointset)
     # the returned design alone gets its variational values, here
     # rather than at the caller's first read
     result.variational  # noqa: B018

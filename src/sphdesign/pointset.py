@@ -289,7 +289,11 @@ def write_pointset(X, path, t=None):
 
 
 def read_pointset(path):
-    """Read a PointSet written by write_pointset (header optional)."""
+    """Read a PointSet written by write_pointset (header optional).
+
+    Header fields are integers; sym is 0 or 1, and a field given twice
+    must repeat its value.
+    """
     header = {}
     rows = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,9 +306,15 @@ def read_pointset(path):
                     if "=" in tok:
                         k, _, v = tok.partition("=")
                         try:
-                            header[k] = int(v)
+                            val = int(v)
                         except ValueError:
                             raise ParseError("bad header field %r" % tok, lineno)
+                        if k == "sym" and val not in (0, 1):
+                            raise ParseError("header sym must be 0 or 1, "
+                                             "got %d" % val, lineno)
+                        if header.setdefault(k, val) != val:
+                            raise ParseError("header %s=%d contradicts %s=%d"
+                                             % (k, val, k, header[k]), lineno)
                 continue
             try:
                 vals = [float(tok) for tok in line.split()]

@@ -143,7 +143,7 @@ def legendre_norm_batch(d, L, z):
     return vals / scale.reshape((L + 1,) + (1,) * (vals.ndim - 1))
 
 
-def jacobi_largest_zero(alpha, beta, n, polish=True):
+def jacobi_largest_zero(alpha, beta, n):
     """Largest zero of P_n^(alpha,beta) via the symmetric eigenvalue method.
 
     The zeros are the eigenvalues of the symmetric tridiagonal matrix
@@ -169,13 +169,12 @@ def jacobi_largest_zero(alpha, beta, n, polish=True):
         gamma = diag[0]
     else:
         gamma = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
-    if polish:
-        f = float(jacobi_eval(alpha, beta, n, gamma))
-        fp = float(jacobi_deriv(alpha, beta, n, gamma))
-        if fp != 0.0:
-            step = f / fp
-            if abs(step) < 1e-6:
-                gamma = gamma - step
+    f = float(jacobi_eval(alpha, beta, n, gamma))
+    fp = float(jacobi_deriv(alpha, beta, n, gamma))
+    if fp != 0.0:
+        step = f / fp
+        if abs(step) < 1e-6:
+            gamma = gamma - step
     return float(gamma)
 
 

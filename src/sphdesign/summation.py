@@ -55,9 +55,3 @@ def _row_sums(rows):
     c = -c
     return [math.fsum(s[i].tolist() + c[i].tolist()) for i in range(R)]
 
-
-def comp_dot(x, y):
-    """Deterministic compensated inner product of two 1-d arrays."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    return comp_sum(x * y)

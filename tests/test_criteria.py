@@ -18,7 +18,7 @@ from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
 from sphdesign.pointset import (ParamVector, PointSet, _free_slots, n_free,
                                 normalize_pointset, param_jacobian_point,
                                 param_to_points, points_to_param)
-from sphdesign.specfun import dim_harmonic, legendre_norm
+from sphdesign.specfun import dim_harmonic, legendre_norm, row_degrees
 from sphdesign.summation import comp_sum
 
 
@@ -290,11 +290,13 @@ class TestWeylResidual:
     def test_weighted_identity_other_psi(self):
         # general identity: V = sum_ell (a_ell / Z) |r_ell|^2 / N^2
         X = _random_set(2, 9, 7)
+        deg = row_degrees(6)
         for kind in (PSI1, PSI2):
             t = 6
             spec = make_psi(kind, 2, t)
             r = weyl_residual(X, t).r
-            weighted = comp_sum(residual_weights(spec) * r * r)
+            w = psi_coefficients(spec)[1:][deg - 1] / (2 * deg + 1)
+            weighted = comp_sum(w * r * r)
             assert variational_value(X, spec) == pytest.approx(
                 weighted / X.N ** 2, rel=1e-9)
 
@@ -306,7 +308,7 @@ class TestWeylResidual:
         t = 5
         res = weyl_residual(_random_set(2, 8, 1), t)
         assert res.r.size == (t + 1) ** 2 - 1
-        w = residual_weights(make_psi(PSI3, 2, t))
+        w = residual_weights(t)
         blocks = np.split(w, np.cumsum([2 * l + 1 for l in range(1, t)]))
         for l, b in enumerate(blocks, start=1):
             assert np.allclose(b, b[0])
@@ -315,16 +317,12 @@ class TestWeylResidual:
     def test_weights_and_mask_match_degree_loops(self):
         # the per-degree loops the row-degree array replaced
         for t in (1, 2, 5, 12):
-            for kind in KINDS:
-                spec = make_psi(kind, 2, t)
-                if kind == PSI3:
-                    a = [spec.a0 * (2 * ell + 1) for ell in range(1, t + 1)]
-                else:
-                    a = psi_coefficients(spec)[1:]
-                ref = np.concatenate([np.full(2 * ell + 1,
-                                              a[ell - 1] / (2 * ell + 1))
-                                      for ell in range(1, t + 1)])
-                assert residual_weights(spec).tobytes() == ref.tobytes()
+            spec = make_psi(PSI3, 2, t)
+            a = [spec.a0 * (2 * ell + 1) for ell in range(1, t + 1)]
+            ref = np.concatenate([np.full(2 * ell + 1,
+                                          a[ell - 1] / (2 * ell + 1))
+                                  for ell in range(1, t + 1)])
+            assert residual_weights(t).tobytes() == ref.tobytes()
             ref = np.concatenate([np.full(2 * ell + 1, ell % 2 == 0)
                                   for ell in range(1, t + 1)])
             assert symmetric_row_mask(t).tobytes() == ref.tobytes()
@@ -414,8 +412,8 @@ class TestWeylResidual:
             assert A.tobytes() == ref.tobytes()
 
     def test_weights_are_shared_read_only(self):
-        w = residual_weights(make_psi(PSI2, 2, 6))
-        assert w is residual_weights(make_psi(PSI2, 2, 6))
+        w = residual_weights(6)
+        assert w is residual_weights(6)
         with pytest.raises(ValueError):
             w[0] = 1.0
 

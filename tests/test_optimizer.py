@@ -5,10 +5,9 @@ import pytest
 
 from sphdesign import bounds as bounds_mod
 from sphdesign import geometry, optimizer
-from sphdesign.criteria import PSI1, PSI2, PSI3, make_psi, variational_value
+from sphdesign.criteria import PSI2, PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
-from sphdesign.optimizer import (CLASS_DESIGN, CLASS_LOCAL, SolveOptions,
-                                 _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
+from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
                                  _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
                                  _pack, generate_design, initial_points,
                                  minimize_variational, solve_lsq)
@@ -55,7 +54,6 @@ class TestLsq:
         res = solve_lsq(X0, 2)
         assert res.converged
         assert res.rtr <= 1e-22 * 36
-        assert res.classification == CLASS_DESIGN
         assert verify_design(res.pointset, 2).is_design
 
     def test_objective_never_increases(self, monkeypatch):
@@ -130,7 +128,6 @@ class TestGenerate:
         # best failure honestly
         res = generate_design(2, 3, N=3, opts=SolveOptions(restarts=2))
         assert not res.converged
-        assert res.classification == CLASS_LOCAL
         assert res.rtr > 1e-6
 
     def test_d3_generation_small(self):
@@ -156,20 +153,6 @@ class TestGenerate:
                               opts=SolveOptions(restarts=1))
         assert not res.converged and res.pointset.N == 2
         assert res.pointset.symmetric == symmetric
-
-    def test_lm_needs_s2(self):
-        with pytest.raises(InvalidDimensionError):
-            generate_design(3, 2, method="lm")
-
-    def test_psi_needs_grad(self):
-        with pytest.raises(InvalidParameterError):
-            generate_design(2, 3, psi=PSI1)
-        with pytest.raises(InvalidParameterError):
-            generate_design(2, 3, method="lm", psi=PSI1)
-
-    def test_unknown_method(self):
-        with pytest.raises(InvalidParameterError):
-            generate_design(2, 3, method="newton")
 
     def test_antipodal_candidate(self):
         # t = 5 with N = 18 runs antipodal plans first; a winning one is

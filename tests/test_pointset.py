@@ -254,6 +254,25 @@ class TestIO:
         with pytest.raises(ParseError):
             read_pointset(path)
 
+    @pytest.mark.parametrize("sym", ["-3", "2", "7"])
+    def test_sym_outside_zero_one(self, tmp_path, sym):
+        # read as symmetric, e1, e2 would become +-e1, +-e2
+        path = tmp_path / "sym.txt"
+        path.write_text("# d=2 sym=%s\n1 0 0\n0 1 0\n" % sym)
+        with pytest.raises(ParseError, match="sym") as exc:
+            read_pointset(path)
+        assert exc.value.line_number == 1
+
+    def test_contradicting_header_keys(self, tmp_path):
+        path = tmp_path / "twice.txt"
+        path.write_text("# d=2 N=2 sym=0\n# N=3\n1 0 0\n0 1 0\n0 0 1\n")
+        with pytest.raises(ParseError, match="N=3") as exc:
+            read_pointset(path)
+        assert exc.value.line_number == 2
+        # a key repeated with its own value is no contradiction
+        path.write_text("# d=2 N=3\n# N=3 d=2\n1 0 0\n0 1 0\n0 0 1\n")
+        assert read_pointset(path).N == 3
+
     def test_norm_policy(self, tmp_path):
         path = tmp_path / "near.txt"
         path.write_text("1.0000000001 0 0\n0 1 0\n")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign.summation import comp_dot, comp_sum
+from sphdesign.summation import comp_sum
 
 
 def test_empty_and_single():
@@ -50,13 +50,6 @@ def test_axis_sums_each_row_alone():
         assert got.shape == rows.shape[:-1]
         assert all(got[i] == comp_sum(rows[i]) for i in np.ndindex(got.shape))
     assert np.array_equal(comp_sum(np.zeros((4, 0)), axis=1), np.zeros(4))
-
-
-def test_comp_dot():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(3000)
-    b = rng.standard_normal(3000)
-    assert comp_dot(a, b) == pytest.approx(math.fsum(a * b), rel=0, abs=1e-12)
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
