@@ -79,8 +79,7 @@ def n_bar(d, t):
         raise InvalidDimensionError("d must be >= 1")
     if t < 1 or t % 2 == 0:
         raise InvalidParameterError("symmetric counts need odd t >= 1")
-    m = comb(t + d - 1, d) - 1
-    return 2 * _iceil((m + d * (d + 1) // 2) / d)
+    return 2 * _iceil((m_sym(d, t) + d * (d + 1) // 2) / d)
 
 
 # degrees on S^2 where a design with one point fewer than n_hat is

@@ -4,8 +4,8 @@ Subcommands: bounds (point-count table), gen (optimize a design),
 verify (check the design property of a point file), geom (geometric
 quality), table (CSV summary over a directory of stored designs).
 
-Exit codes: 0 success or verification pass, 1 verification fail,
-2 input or usage error.
+Exit codes: 0 success or verification pass, 1 verification fail or,
+for gen, no start converged, 2 input or usage error.
 """
 
 import argparse
@@ -47,6 +47,10 @@ def cmd_bounds(args):
 
 
 def cmd_gen(args):
+    # a missing directory is found before minutes of generation, not after
+    out_dir = os.path.dirname(args.output) or "."
+    if not os.path.isdir(out_dir):
+        raise SphDesignError("output directory %s does not exist" % out_dir)
     opts = optimizer.SolveOptions(seed=args.seed, restarts=args.restarts)
     result = optimizer.generate_design(args.d, args.t, N=args.n,
                                        symmetric=args.symmetric, opts=opts)

@@ -87,8 +87,7 @@ def make_psi(kind, d, t):
         raw_at_1 = 1.0
     else:
         a0 = _a0_psi2(d, t)
-        raw_at_1 = exp(lgamma(t + alpha + 2.0) - lgamma(t + 1.0)
-                       - lgamma(alpha + 2.0))
+        raw_at_1 = specfun.jacobi_at_one(alpha + 1.0, t)
     return PsiSpec(kind=kind, d=d, t=t, a0=a0, psi_at_1=raw_at_1 - a0)
 
 
@@ -116,10 +115,7 @@ def psi_deriv(spec, z):
         return out
     if spec.kind == PSI2:
         return 0.5 * t * (0.5 * (1.0 + z)) ** (t - 1)
-    if t == 0:
-        return np.zeros_like(z)
-    return 0.5 * (t + 2.0 * spec.alpha + 2.0) * specfun.jacobi_eval(
-        spec.alpha + 2.0, spec.alpha + 1.0, t - 1, z)
+    return specfun.jacobi_deriv(spec.alpha + 1.0, spec.alpha, t, z)
 
 
 def psi_coefficients(spec):
@@ -237,10 +233,6 @@ class WeylResidual:
     @property
     def rtr(self):
         return float(comp_sum(self.r * self.r))
-
-    @property
-    def max_abs(self):
-        return float(np.max(np.abs(self.r)))
 
 
 @lru_cache(maxsize=None)

@@ -40,15 +40,21 @@ _FLAT_TOL = 1e-12
 _REPEATED_ROW_DELTA = 1e-5
 
 
-def separation(X):
-    """Minimum geodesic distance over all point pairs."""
+def _pair_products(X, too_few):
+    """Clipped inner products x_i . x_j, i < j, of the expanded points,
+    in the row-major order of the upper triangle; fewer than two points
+    raise UndefinedMetricError with the message too_few."""
     coords = X.expanded()
     N = coords.shape[0]
     if N < 2:
-        raise UndefinedMetricError("separation needs at least two points")
-    g = _gram(coords)
-    iu = np.triu_indices(N, k=1)
-    return float(np.arccos(np.max(g[iu])))
+        raise UndefinedMetricError(too_few)
+    return _gram(coords)[np.triu_indices(N, k=1)]
+
+
+def separation(X):
+    """Minimum geodesic distance over all point pairs."""
+    g = _pair_products(X, "separation needs at least two points")
+    return float(np.arccos(np.max(g)))
 
 
 def _min_dist_field(centers, coords):
@@ -91,7 +97,7 @@ def _hull_mesh_norm(coords):
     return float(np.arccos(np.min(g)))
 
 
-def mesh_norm(X, accuracy=1e-6):
+def mesh_norm(X):
     """Covering radius h = max over the sphere of f(c) = min_j dist(c, x_j).
 
     Exact closed form (module docstring): the nearest hull point when
@@ -99,14 +105,8 @@ def mesh_norm(X, accuracy=1e-6):
     subspace, else the largest convex-hull facet cap.  Every returned h
     is f evaluated at a sphere point, so up to rounding it is both a
     lower bound on the mesh norm and equal to it; near-flat sets that
-    get pi/2 are within 1e-12 of it.  accuracy is validated
-    (floor 1e-8) for compatibility; the result does not depend on it.
-
-    Returns (h, 0.0).
+    get pi/2 are within 1e-12 of it.
     """
-    if not (np.isfinite(accuracy) and accuracy >= 1e-8):
-        raise InvalidParameterError(
-            "accuracy must be finite and >= 1e-8, got %r" % (accuracy,))
     coords = X.expanded()
     N, w = coords.shape
     p = _nearest_hull_point(coords)
@@ -117,7 +117,7 @@ def mesh_norm(X, accuracy=1e-6):
         h = 0.5 * np.pi
     else:
         h = _hull_mesh_norm(coords)
-    return h, 0.0
+    return h
 
 
 @dataclass(frozen=True)
@@ -136,16 +136,21 @@ def mesh_ratio(X, accuracy=1e-6):
 
     A repeated row is refused by itself: its rounded Gram entry can fall
     just below 1, which would give delta of about 1.5e-8 instead of 0.
+    accuracy is validated (finite, floor 1e-8) for compatibility; the
+    closed-form mesh norm does not depend on it.
     """
+    if not (np.isfinite(accuracy) and accuracy >= 1e-8):
+        raise InvalidParameterError(
+            "accuracy must be finite and >= 1e-8, got %r" % (accuracy,))
     delta = separation(X)
     if delta < _REPEATED_ROW_DELTA:
         coords = X.expanded()
         if delta == 0.0 or len(np.unique(coords, axis=0)) < len(coords):
             raise UndefinedMetricError("coincident points: the mesh ratio "
                                        "is undefined")
-    h, achieved = mesh_norm(X, accuracy)
+    h = mesh_norm(X)
     return GeometryReport(delta=delta, h=h, rho=2.0 * h / delta,
-                          h_accuracy=achieved)
+                          h_accuracy=0.0)
 
 
 @dataclass(frozen=True)
@@ -167,13 +172,12 @@ class InnerProductSet:
 
 
 def inner_product_set(X, dedup=1e-9):
-    """All inner products x_i . x_j, i < j, sorted ascending."""
-    coords = X.expanded()
-    N = coords.shape[0]
-    if N < 2:
-        raise UndefinedMetricError("inner products need at least two points")
-    g = _gram(coords)
-    vals = np.sort(g[np.triu_indices(N, k=1)])
+    """All inner products x_i . x_j, i < j, sorted ascending; products
+    within dedup of each other merge, none when dedup <= 0."""
+    if np.isnan(dedup):
+        raise InvalidParameterError("dedup must not be NaN")
+    vals = np.sort(_pair_products(X, "inner products need at least two "
+                                     "points"))
     if dedup <= 0:
         return InnerProductSet(values=vals, counts=np.ones(vals.size, dtype=int),
                                dedup=dedup)
@@ -193,15 +197,10 @@ def inner_product_set(X, dedup=1e-9):
 
 def riesz_energy(X, s):
     """Riesz energy sum_{i<j} |x_i - x_j|^(-s), compensated."""
-    if s <= 0:
-        raise InvalidParameterError("the energy exponent must be positive")
-    coords = X.expanded()
-    N = coords.shape[0]
-    if N < 2:
-        raise UndefinedMetricError("energy needs at least two points")
-    g = _gram(coords)
-    iu = np.triu_indices(N, k=1)
-    d2 = 2.0 - 2.0 * g[iu]
+    if not (np.isfinite(s) and s > 0):
+        raise InvalidParameterError(
+            "the energy exponent must be finite and positive, got %r" % (s,))
+    d2 = 2.0 - 2.0 * _pair_products(X, "energy needs at least two points")
     if np.any(d2 <= 0.0):
         raise InfiniteEnergyError("coincident points give infinite energy")
     return comp_sum(d2 ** (-0.5 * s))

@@ -157,9 +157,10 @@ class ParamVector:
                 "expected %d packed angles, got shape %r" % (n, self.values.shape))
         reps = self.N // 2 if self.symmetric else self.N
         self.lower, self.upper = _angle_bounds(self.d, reps)
-        if np.any(self.values < self.lower - 1e-12) or \
-           np.any(self.values > self.upper + 1e-12):
-            raise InvalidParameterError("packed angle out of bounds")
+        # written so that NaN angles fail it too
+        if not np.all((self.values >= self.lower - 1e-12)
+                      & (self.values <= self.upper + 1e-12)):
+            raise InvalidParameterError("packed angle out of bounds or NaN")
 
 
 def _angles_to_points(phi):

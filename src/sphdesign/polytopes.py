@@ -26,8 +26,7 @@ def antipodal_pair(d=2):
 
 def octahedron():
     """The 6 octahedron vertices on S^2, a 3-design."""
-    coords = np.vstack([np.eye(3), -np.eye(3)])
-    return PointSet(d=2, coords=coords)
+    return cross_polytope(2)
 
 
 def icosahedron():
@@ -117,8 +116,9 @@ def cell120():
     g = _GOLD
     rows = set()
 
-    def add_all_perms(base):
-        for p in set(permutations(base)):
+    def add_signed(points):
+        # every sign pattern of the nonzero entries of each point
+        for p in points:
             nz = [i for i, v in enumerate(p) if v != 0.0]
             for signs in product((-1.0, 1.0), repeat=len(nz)):
                 v = list(p)
@@ -126,39 +126,16 @@ def cell120():
                     v[i] = v[i] * s
                 rows.add(tuple(v))
 
-    def add_even_perms(base):
-        for p in _even_permutations(4):
-            cand = tuple(base[p[i]] for i in range(4))
-            nz = [i for i, v in enumerate(cand) if v != 0.0]
-            for signs in product((-1.0, 1.0), repeat=len(nz)):
-                v = list(cand)
-                for i, s in zip(nz, signs):
-                    v[i] = v[i] * s
-                rows.add(tuple(v))
-
-    add_all_perms((2.0, 2.0, 0.0, 0.0))
-    add_all_perms((sqrt(5.0), 1.0, 1.0, 1.0))
-    add_all_perms((g, g, g, 1.0 / (g * g)))
-    add_all_perms((g * g, 1.0 / g, 1.0 / g, 1.0 / g))
-    add_even_perms((g * g, 1.0 / (g * g), 1.0, 0.0))
-    add_even_perms((sqrt(5.0), 1.0 / g, g, 0.0))
-    add_even_perms((2.0, 1.0, g, 1.0 / g))
+    for base in ((2.0, 2.0, 0.0, 0.0),
+                 (sqrt(5.0), 1.0, 1.0, 1.0),
+                 (g, g, g, 1.0 / (g * g)),
+                 (g * g, 1.0 / g, 1.0 / g, 1.0 / g)):
+        add_signed(set(permutations(base)))
+    for base in ((g * g, 1.0 / (g * g), 1.0, 0.0),
+                 (sqrt(5.0), 1.0 / g, g, 0.0),
+                 (2.0, 1.0, g, 1.0 / g)):
+        add_signed(tuple(base[i] for i in p) for p in _even_permutations(4))
     coords = np.array(sorted(rows))
     coords /= np.linalg.norm(coords, axis=1)[:, None]
     return PointSet(d=3, coords=coords)
 
-
-FIXTURES_S2 = {
-    "antipodal_pair": (antipodal_pair, 1),
-    "octahedron": (octahedron, 3),
-    "icosahedron": (icosahedron, 5),
-}
-
-FIXTURES_S3 = {
-    "simplex": (lambda: simplex(3), 2),
-    "cross_polytope": (cross_polytope, 3),
-    "hypercube": (hypercube, 3),
-    "cell24": (cell24, 5),
-    "cell600": (cell600, 11),
-    "cell120": (cell120, 11),
-}

@@ -58,43 +58,21 @@ def _check_jacobi(alpha, beta, n):
         raise InvalidParameterError("jacobi degree must be >= 0")
 
 
-def jacobi_batch(alpha, beta, L, z):
-    """Values of P_ell^(alpha,beta)(z) for ell = 0..L.
-
-    Returns an array of shape (L+1,) + shape(z), filled by the standard
+def _jacobi_recurrence(alpha, beta, n, z):
+    """Yield P_0^(alpha,beta)(z) .. P_n^(alpha,beta)(z) by the standard
     three-term recurrence.
+
+    Each value is scaled in place while the degree two above it is
+    computed, so a caller that keeps one must copy it.
     """
-    _check_jacobi(alpha, beta, L)
-    z = np.asarray(z, dtype=float)
-    out = np.empty((L + 1,) + z.shape)
-    out[0] = 1.0
-    if L == 0:
-        return out
-    ab = alpha + beta
-    out[1] = 0.5 * (ab + 2.0) * z + 0.5 * (alpha - beta)
-    for n in range(2, L + 1):
-        c = 2.0 * n + ab
-        a1 = 2.0 * n * (n + ab) * (c - 2.0)
-        a2 = (c - 1.0) * (alpha * alpha - beta * beta)
-        a3 = (c - 2.0) * (c - 1.0) * c
-        a4 = 2.0 * (n + alpha - 1.0) * (n + beta - 1.0) * c
-        out[n] = ((a2 + a3 * z) * out[n - 1] - a4 * out[n - 2]) / a1
-    return out
-
-
-def jacobi_eval(alpha, beta, n, z):
-    """Value of P_n^(alpha,beta) at z.
-
-    Runs the recurrence of jacobi_batch, with the same arithmetic, but
-    keeps only the last two degrees.
-    """
-    _check_jacobi(alpha, beta, n)
     z = np.asarray(z, dtype=float)
     prev = np.ones(z.shape)
+    yield prev
     if n == 0:
-        return prev
+        return
     ab = alpha + beta
     cur = 0.5 * (ab + 2.0) * z + 0.5 * (alpha - beta)
+    yield cur
     for k in range(2, n + 1):
         c = 2.0 * k + ab
         a1 = 2.0 * k * (k + ab) * (c - 2.0)
@@ -108,7 +86,30 @@ def jacobi_eval(alpha, beta, n, z):
         nxt -= prev
         nxt /= a1
         prev, cur = cur, nxt
-    return cur
+        yield cur
+
+
+def jacobi_batch(alpha, beta, L, z):
+    """Values of P_ell^(alpha,beta)(z) for ell = 0..L.
+
+    Returns an array of shape (L+1,) + shape(z), filled by the standard
+    three-term recurrence.
+    """
+    _check_jacobi(alpha, beta, L)
+    z = np.asarray(z, dtype=float)
+    out = np.empty((L + 1,) + z.shape)
+    for ell, p in enumerate(_jacobi_recurrence(alpha, beta, L, z)):
+        out[ell] = p
+    return out
+
+
+def jacobi_eval(alpha, beta, n, z):
+    """Value of P_n^(alpha,beta) at z, by the recurrence of jacobi_batch
+    keeping only the last two degrees."""
+    _check_jacobi(alpha, beta, n)
+    for p in _jacobi_recurrence(alpha, beta, n, z):
+        pass
+    return p
 
 
 def jacobi_at_one(alpha, ell):

@@ -1,10 +1,11 @@
 """Deterministic compensated summation.
 
 Large double sums over point pairs cancel heavily (diagonal against
-off-diagonal terms), so plain accumulation loses digits.  The scheme
-here splits the input into fixed-width blocks, runs a compensated
-(Kahan) accumulation vectorized across the block lanes, and combines
-the lane totals with an exactly rounded summation.  The reduction
+off-diagonal terms), so plain accumulation loses digits.  An input of
+at most BLOCK entries goes through math.fsum and is correctly rounded.
+A longer one is split into fixed-width blocks, summed by a compensated
+(Kahan) accumulation vectorized across the block lanes, and the lane
+totals and corrections are combined by math.fsum.  The reduction
 shape depends only on the input length, never on worker count, so the
 result is bitwise reproducible.  Summing along an axis treats every
 row as its own input: each row gets the bits it would get alone.

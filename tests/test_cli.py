@@ -211,6 +211,18 @@ class TestGen:
         assert captured.err.startswith("error: seed")
         assert not out_file.exists()
 
+    def test_missing_output_directory_before_generating(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated before the output was checked")
+        monkeypatch.setattr(sphdesign.optimizer, "generate_design", fail)
+        code = main(["gen", "--t", "9",
+                     "-o", str(tmp_path / "missing" / "x.txt")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output directory")
+
     @pytest.mark.parametrize("restarts", ["0", "-4"])
     def test_restarts_below_one_is_usage_error(self, tmp_path, capsys,
                                                restarts):

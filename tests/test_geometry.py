@@ -71,28 +71,24 @@ class TestMeshNorm:
     def test_antipodal_pair_exact(self):
         # the maximizers form a whole great circle
         X = polytopes.antipodal_pair()
-        h, acc = mesh_norm(X, accuracy=1e-4)
-        assert acc <= 1.01e-4
+        h = mesh_norm(X)
         assert h == pytest.approx(math.pi / 2.0, abs=1e-4)
 
     def test_octahedron_exact(self):
         # deep holes at the cube vertices: arccos(1/sqrt(3))
-        h, acc = mesh_norm(polytopes.octahedron(), accuracy=1e-6)
-        assert acc <= 1.01e-6
+        h = mesh_norm(polytopes.octahedron())
         assert h == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-6)
 
     def test_icosahedron_exact(self):
         # deep holes at the dodecahedron vertices
         phi = (1.0 + math.sqrt(5.0)) / 2.0
         expect = math.acos(math.sqrt((5.0 + 2.0 * math.sqrt(5.0)) / 15.0))
-        h, acc = mesh_norm(polytopes.icosahedron(), accuracy=1e-6)
-        assert acc <= 1.01e-6
+        h = mesh_norm(polytopes.icosahedron())
         assert h == pytest.approx(expect, abs=1e-6)
 
     def test_cross_polytope_s3(self):
         # deep hole at (1,1,1,1)/2: arccos(1/2)
-        h, acc = mesh_norm(polytopes.cross_polytope(), accuracy=1e-5)
-        assert acc <= 1.01e-5
+        h = mesh_norm(polytopes.cross_polytope())
         assert h == pytest.approx(math.acos(0.5), abs=1e-5)
 
     def test_bracket_consistent_with_sampling(self):
@@ -100,10 +96,10 @@ class TestMeshNorm:
         # norm, so it can only undershoot the bracket, never exceed it
         for seed in (0, 1):
             X = _random_set(2, 12, seed)
-            h, acc = mesh_norm(X, accuracy=1e-5)
+            h = mesh_norm(X)
             sampled = _sampled_mesh_norm(X.coords)
-            assert sampled <= h + acc + 1e-12
-            assert h >= sampled - acc - 1e-12
+            assert sampled <= h + 1e-12
+            assert h >= sampled - 1e-12
 
     @pytest.mark.parametrize("d, N, gap", [(2, 8, 0.01), (2, 50, 0.01),
                                            (2, 200, 0.01), (3, 4, 0.05),
@@ -114,8 +110,7 @@ class TestMeshNorm:
         # lie in an open hemisphere
         for seed in (0, 1, 2):
             X = _random_set(d, N, seed)
-            h, acc = mesh_norm(X)
-            assert acc == 0.0
+            h = mesh_norm(X)
             sampled = _sampled_mesh_norm(X.coords)
             assert sampled <= h + 1e-12
             assert h - sampled <= gap
@@ -127,7 +122,7 @@ class TestMeshNorm:
         c = rng.standard_normal((30, 3))
         c[:, 2] = np.abs(c[:, 2]) + 0.05
         c /= np.linalg.norm(c, axis=1)[:, None]
-        h, _ = mesh_norm(PointSet(d=2, coords=c))
+        h = mesh_norm(PointSet(d=2, coords=c))
         sampled = _sampled_mesh_norm(c)
         assert math.pi / 2.0 < sampled <= h + 1e-12
         assert h - sampled <= 0.01
@@ -136,7 +131,7 @@ class TestMeshNorm:
         # the hull facet facing the origin would give 3.0537 here; the
         # farthest sphere point is the antipode of the (0, 0) midpoint
         c = _lonlat((1.0, 0.0), (-1.0, 0.0), (0.0, 0.1), (0.0, -0.1))
-        h, _ = mesh_norm(PointSet(d=2, coords=c))
+        h = mesh_norm(PointSet(d=2, coords=c))
         assert h == pytest.approx(math.pi - math.radians(1.0), abs=1e-9)
         assert _sampled_mesh_norm(c) <= h + 1e-12
 
@@ -155,15 +150,14 @@ class TestMeshNorm:
     ])
     def test_degenerate_sets(self, coords, expect):
         X = PointSet(d=coords.shape[1] - 1, coords=coords)
-        h, acc = mesh_norm(X)
-        assert acc == 0.0
+        h = mesh_norm(X)
         assert h == pytest.approx(expect, abs=1e-12)
         assert _sampled_mesh_norm(coords) <= h + 1e-12
 
     def test_symmetric_pointset(self):
         # the octahedron stored as three representatives
         X = PointSet(d=2, coords=np.eye(3), symmetric=True)
-        h, _ = mesh_norm(X)
+        h = mesh_norm(X)
         assert h == pytest.approx(math.acos(1.0 / math.sqrt(3.0)), abs=1e-14)
 
     @pytest.mark.parametrize("make, expect", [
@@ -174,7 +168,7 @@ class TestMeshNorm:
     def test_recorded_values(self, make, expect):
         # certified branch-and-bound values (accuracy 1e-6, polished
         # lower bounds) recorded before the closed form replaced it
-        h, _ = mesh_norm(make())
+        h = mesh_norm(make())
         assert h == pytest.approx(expect, abs=1e-12)
 
     def test_hull_failure_is_undefined_metric(self, monkeypatch):
@@ -186,13 +180,13 @@ class TestMeshNorm:
 
     def test_accuracy_floor(self):
         with pytest.raises(InvalidParameterError):
-            mesh_norm(polytopes.octahedron(), accuracy=1e-9)
+            mesh_ratio(polytopes.octahedron(), accuracy=1e-9)
 
     @pytest.mark.parametrize("accuracy", [float("nan"), float("inf")])
     def test_non_finite_accuracy(self, accuracy):
         # NaN fails the floor comparison, so it is rejected explicitly
         with pytest.raises(InvalidParameterError):
-            mesh_norm(polytopes.octahedron(), accuracy=accuracy)
+            mesh_ratio(polytopes.octahedron(), accuracy=accuracy)
 
 
 class TestMeshRatio:
@@ -226,7 +220,7 @@ class TestMeshRatio:
 
     def test_calls_mesh_norm_through_module(self, monkeypatch):
         # wrappers installed on geometry.mesh_norm see mesh_ratio's call
-        monkeypatch.setattr(geometry, "mesh_norm", lambda X, acc: (0.5, 0.0))
+        monkeypatch.setattr(geometry, "mesh_norm", lambda X: 0.5)
         rep = mesh_ratio(polytopes.octahedron())
         assert rep.h == 0.5 and rep.h_accuracy == 0.0
 
@@ -256,6 +250,10 @@ class TestInnerProductSet:
         assert ips.values.size == 15
         assert np.all(np.diff(ips.values) >= 0.0)
 
+    def test_nan_dedup(self):
+        with pytest.raises(InvalidParameterError):
+            inner_product_set(polytopes.octahedron(), dedup=float("nan"))
+
 
 class TestRieszEnergy:
     def test_brute_force(self):
@@ -279,6 +277,11 @@ class TestRieszEnergy:
     def test_invalid_exponent(self):
         with pytest.raises(InvalidParameterError):
             riesz_energy(_random_set(2, 4), -1.0)
+
+    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
+    def test_non_finite_exponent(self, s):
+        with pytest.raises(InvalidParameterError):
+            riesz_energy(polytopes.icosahedron(), s)
 
     def test_minimizer_beats_random(self):
         # the icosahedron has lower energy than any random 12-point set

@@ -211,6 +211,12 @@ class TestRoundTrip:
             ParamVector(d=2, N=5, symmetric=False,
                         values=np.full(n, 4.0 * np.pi))
 
+    def test_param_vector_nan_angle(self):
+        values = np.zeros(n_free(2, 5))
+        values[1] = np.nan
+        with pytest.raises(InvalidParameterError):
+            ParamVector(d=2, N=5, symmetric=False, values=values)
+
 
 class TestIO:
     def test_write_read_round_trip(self, tmp_path):
