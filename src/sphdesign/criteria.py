@@ -20,8 +20,8 @@ import numpy as np
 
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import (_free_slots, _require_normalized, _slot_jacobian,
-                       n_free, param_to_points)
+from .pointset import (_points_and_chain, _require_normalized,
+                       _s2_param_columns)
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -198,20 +198,10 @@ def variational_value_and_param_gradient(p, spec):
     per-slot np.dot of param_jacobian_point rows with the Cartesian
     gradient.
     """
-    X = param_to_points(p)
+    X, chain = _points_and_chain(p)
     coords, g = _expanded_gram(X, spec)
-    v = _value_from_gram(g, spec)
-    gcart = _gradient_from_gram(g, coords, spec)
-    reps = X.coords.shape[0]
-    if p.symmetric:
-        gcart = gcart[:reps] - gcart[reps:]
-    rows, cols = _free_slots(p.d, reps)
-    phi = np.zeros((reps, p.d))
-    phi[rows, cols] = p.values
-    J = _slot_jacobian(phi, rows, cols)
-    # a stacked (1 x n) @ (n x 1) product is one ddot per slot, the
-    # same reduction as np.dot; einsum and row sums reassociate
-    return v, (J[:, None, :] @ gcart[rows][:, :, None]).ravel()
+    return (_value_from_gram(g, spec),
+            chain(_gradient_from_gram(g, coords, spec)))
 
 
 @dataclass
@@ -224,11 +214,9 @@ class WeylResidual:
     of the points the sums ran over, which weyl_jacobian reuses.
     """
     t: int
-    N: int
     r: np.ndarray
     weights: np.ndarray
-    tables: specfun.HarmonicTables = field(default=None, repr=False,
-                                           compare=False)
+    tables: specfun.HarmonicTables = field(repr=False, compare=False)
 
     @property
     def rtr(self):
@@ -239,6 +227,8 @@ class WeylResidual:
 def residual_weights(t):
     """Diagonal psi_3 weights a_ell / Z(2, ell) per residual row of
     degree t, as a read-only array shared by every caller with that t."""
+    if t < 1:
+        raise InvalidParameterError("Weyl sums need t >= 1, got %r" % (t,))
     # a_ell = a0 Z(2, ell), so every weight collapses to a0
     a = _a0_psi2(2, t) * (2 * np.arange(1, t + 1) + 1)
     deg = specfun.row_degrees(t)
@@ -252,9 +242,9 @@ def weyl_residual(X, t):
     over the expanded points, with the psi_3 weights."""
     if X.d != 2:
         raise InvalidDimensionError("Weyl residuals require d = 2")
+    weights = residual_weights(t)
     values, tables = specfun.sph_harmonics_s2(t, X.expanded())
-    return WeylResidual(t=t, N=X.N, r=comp_sum(values, axis=1),
-                        weights=residual_weights(t),
+    return WeylResidual(t=t, r=comp_sum(values, axis=1), weights=weights,
                         tables=tables)
 
 
@@ -278,38 +268,33 @@ def weyl_residual_reduced(X, t):
         raise InvalidDimensionError("Weyl residuals require d = 2")
     if not X.symmetric:
         raise InvalidParameterError("reduced residual needs a symmetric set")
-    values, tables = specfun.sph_harmonics_s2(t, X.coords)
     mask = symmetric_row_mask(t)
+    weights = residual_weights(t)[mask]
+    values, tables = specfun.sph_harmonics_s2(t, X.coords)
     r = 2.0 * comp_sum(values[mask], axis=1)
-    return WeylResidual(t=t, N=X.N, r=r,
-                        weights=residual_weights(t)[mask],
-                        tables=tables)
+    return WeylResidual(t=t, r=r, weights=weights, tables=tables)
 
 
-def weyl_jacobian(X, t, residual=None):
+def weyl_jacobian(X, residual):
     """Jacobian of the residual w.r.t. the packed angles (d = 2).
 
-    Rows follow the residual order (even degrees only for symmetric
-    sets, doubled); columns follow the ParamVector packing.  residual,
-    the WeylResidual of X, lends its harmonic tables.  The result is
-    C-contiguous: the normal equations built from it must not depend
-    on how it was assembled.
+    residual is the WeylResidual of X; its harmonic tables give the
+    derivatives.  Rows follow the residual order (even degrees only for
+    symmetric sets, doubled); columns follow the ParamVector packing.
+    The result is C-contiguous: the normal equations built from it must
+    not depend on how it was assembled.
     """
     if X.d != 2:
         raise InvalidDimensionError("Weyl Jacobians require d = 2")
     _require_normalized(X)
     reps = X.coords.shape[0]
-    d1, d2 = specfun.sph_harmonics_s2_jacobian(
-        t, X.coords, tables=None if residual is None else residual.tables)
+    if residual.tables.q.shape[1] != reps:
+        raise InvalidParameterError(
+            "the residual ran over %d points, X stores %d"
+            % (residual.tables.q.shape[1], reps))
+    d1, d2 = specfun.sph_harmonics_s2_jacobian(residual.tables)
     if X.symmetric:
-        mask = symmetric_row_mask(t)
+        mask = symmetric_row_mask(residual.t)
         d1 = 2.0 * d1[mask]
         d2 = 2.0 * d2[mask]
-    # the packed order of _free_slots(2, reps): angle 0 of point 1, then
-    # angles 0 and 1 of each point j >= 2
-    A = np.empty((d1.shape[0], n_free(2, reps)))
-    if reps > 1:
-        A[:, 0] = d1[:, 1]
-        A[:, 1::2] = d1[:, 2:]
-        A[:, 2::2] = d2[:, 2:]
-    return A
+    return _s2_param_columns(d1, d2)

@@ -23,7 +23,7 @@ from . import bounds as bounds_mod
 from . import criteria, geometry
 from .criteria import make_psi, PSI3
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import (PointSet, ParamVector, TWO_PI, normalize_pointset,
+from .pointset import (PointSet, TWO_PI, _moved, normalize_pointset,
                        param_to_points, points_to_param)
 
 _LM_NU0 = 1e-2
@@ -149,15 +149,6 @@ def _pack(X0):
     return points_to_param(Xn)
 
 
-def _moved(p, values):
-    """p with new angles, projected back into the angle box."""
-    out = np.array(values)
-    azim = p.upper > np.pi + 1e-9
-    out[azim] = np.mod(out[azim], TWO_PI)
-    np.clip(out, p.lower, p.upper, out=out)
-    return ParamVector(d=p.d, N=p.N, symmetric=p.symmetric, values=out)
-
-
 def _kick(X, rng, sigma):
     """X with Gaussian noise of strength sigma on its packed angles."""
     p = _pack(X)
@@ -253,7 +244,7 @@ def solve_lsq(X0, t):
                 and f > f_hist[-_STALL_WINDOW - 1] / _STALL_FACTOR
                 and res.rtr > 1e6 * r_tol):
             break
-        A = criteria.weyl_jacobian(X, t, res)
+        A = criteria.weyl_jacobian(X, res)
         g = A.T @ (w * res.r)
         if np.max(np.abs(2.0 * g)) <= _GRADIENT_TOLERANCE and nu > 1e10:
             break

@@ -163,18 +163,26 @@ class ParamVector:
             raise InvalidParameterError("packed angle out of bounds or NaN")
 
 
-def _angles_to_points(phi):
-    """Points in R^{d+1}, one per row of the (M, d) spherical angles;
-    each sine product is built left to right."""
+def _moved(p, values):
+    """p with new angles, projected back into the angle box."""
+    out = np.array(values)
+    azim = _free_slots(p.d, p.N // 2 if p.symmetric else p.N)[1] == p.d - 1
+    out[azim] = np.mod(out[azim], TWO_PI)
+    np.clip(out, p.lower, p.upper, out=out)
+    return ParamVector(d=p.d, N=p.N, symmetric=p.symmetric, values=out)
+
+
+def _sine_prefix(phi):
+    """Tables of the (M, d) spherical angles phi: the cosines padded
+    with a final column of ones, the sines, and the prefix products
+    prefix[:, k] = prod_{m<k} sin(phi_m), built left to right."""
     M, d = phi.shape
-    cos, sin = np.cos(phi), np.sin(phi)
-    x = np.empty((M, d + 1))
-    s = np.ones(M)
-    for i in range(d):
-        x[:, i] = s * cos[:, i]
-        s = s * sin[:, i]
-    x[:, d] = s
-    return x
+    c = np.ones((M, d + 1))
+    c[:, :d] = np.cos(phi)
+    s = np.sin(phi)
+    prefix = np.ones((M, d + 1))
+    np.cumprod(s, axis=1, out=prefix[:, 1:])
+    return c, s, prefix
 
 
 def _point_to_angles(x, d):
@@ -196,18 +204,38 @@ def _point_to_angles(x, d):
 
 def param_to_points(p):
     """Expand a ParamVector into its normalized PointSet."""
+    return _points_and_chain(p)[0]
+
+
+def _points_and_chain(p):
+    """The PointSet of p, and the map from the Cartesian gradient of its
+    expanded points to the gradient w.r.t. p.values: per slot the np.dot
+    of its param_jacobian_point row with its point's gradient, bit for
+    bit.  One scatter and one sine table serve both."""
     d = p.d
     reps = p.N // 2 if p.symmetric else p.N
+    rows, cols = _free_slots(d, reps)
     phi = np.zeros((reps, d))
-    phi[_free_slots(d, reps)] = p.values
-    coords = _angles_to_points(phi)
+    phi[rows, cols] = p.values
+    tables = _sine_prefix(phi)
+    c, _, prefix = tables
+    coords = prefix * c
     # the zero pattern makes trailing coordinates exactly zero
     for j in range(min(reps, d + 1)):
         coords[j, j + 1:] = 0.0
         nrm = np.sqrt(coords[j].dot(coords[j]))  # np.linalg.norm, inlined
         if nrm > 0:
             coords[j] /= nrm
-    return PointSet(d=d, coords=coords, symmetric=p.symmetric)
+
+    def chain(gcart):
+        if p.symmetric:
+            gcart = gcart[:reps] - gcart[reps:]
+        J = _slot_jacobian(tables, rows, cols)
+        # a stacked (1 x n) @ (n x 1) product is one ddot per slot, the
+        # same reduction as np.dot; einsum and row sums reassociate
+        return (J[:, None, :] @ gcart[rows][:, :, None]).ravel()
+
+    return PointSet(d=d, coords=coords, symmetric=p.symmetric), chain
 
 
 def points_to_param(X):
@@ -356,22 +384,17 @@ def read_pointset(path):
     return X
 
 
-def _slot_jacobian(phi, rows, cols):
+def _slot_jacobian(tables, rows, cols):
     """Derivatives dx_j/dphi_i of points w.r.t. single angles.
 
-    phi holds the (M, d) spherical angles of M points.  Row q of the
-    returned (S, d+1) array is the partial derivative of point rows[q]
-    with respect to its angle cols[q].  Entries are built with the
-    elementwise operations of the one-point formula, so every row is bit
-    for bit that of param_jacobian_point.
+    tables are the _sine_prefix tables of the angles of M points.  Row q
+    of the returned (S, d+1) array is the partial derivative of point
+    rows[q] with respect to its angle cols[q].  Entries are built with
+    the elementwise operations of the one-point formula, so every row is
+    bit for bit that of param_jacobian_point.
     """
-    M, d = phi.shape
-    c = np.ones((M, d + 1))
-    c[:, :d] = np.cos(phi)
-    s = np.sin(phi)
-    # prefix[:, k] = prod_{m<k} sin(phi_m), built left to right
-    prefix = np.ones((M, d + 1))
-    np.cumprod(s, axis=1, out=prefix[:, 1:])
+    c, s, prefix = tables
+    d = s.shape[1]
     P = prefix[rows]
     si = s[rows, cols]
     ci = c[rows, cols]
@@ -398,5 +421,19 @@ def param_jacobian_point(phi):
     point with respect to phi_i.
     """
     d = len(phi)
-    return _slot_jacobian(np.asarray(phi, dtype=float).reshape(1, d),
-                          np.zeros(d, dtype=int), np.arange(d))
+    tables = _sine_prefix(np.asarray(phi, dtype=float).reshape(1, d))
+    return _slot_jacobian(tables, np.zeros(d, dtype=int), np.arange(d))
+
+
+def _s2_param_columns(d1, d2):
+    """C-contiguous columns w.r.t. the packed angles of points on S^2,
+    from the (R, reps) derivatives d1 and d2 w.r.t. their colatitudes
+    and azimuths.  The order of _free_slots(2, reps) is written out by
+    hand: three strided copies are far faster than a gather."""
+    reps = d1.shape[1]
+    A = np.empty((d1.shape[0], n_free(2, reps)))
+    if reps > 1:
+        A[:, 0] = d1[:, 1]
+        A[:, 1::2] = d1[:, 2:]
+        A[:, 2::2] = d2[:, 2:]
+    return A

@@ -7,7 +7,7 @@ basis; in higher dimensions through the variational criteria, which
 vanish if and only if the design property holds.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -41,18 +41,14 @@ class DesignReport:
     exactness_degree: int
 
     def to_dict(self):
-        """Plain dict for JSON; non-finite floats (the d > 2 Weyl
-        fields) become None, since strict JSON has no NaN."""
-        return {
-            "t_claimed": self.t_claimed,
-            "max_abs_weyl": _finite_or_none(self.max_abs_weyl),
-            "V1": _finite_or_none(self.V1),
-            "V2": _finite_or_none(self.V2),
-            "V3": _finite_or_none(self.V3),
-            "rTr": _finite_or_none(self.rTr),
-            "is_design": self.is_design,
-            "exactness_degree": self.exactness_degree,
-        }
+        """Plain dict of every field, in declaration order, for JSON;
+        non-finite floats (the d > 2 Weyl fields) become None, since
+        strict JSON has no NaN."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = _finite_or_none(v) if f.type is float else v
+        return out
 
 
 def _finite_or_none(x):

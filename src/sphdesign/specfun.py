@@ -1,12 +1,12 @@
 """Jacobi polynomials, normalized Legendre polynomials, real spherical
 harmonics on S^2, harmonic-space dimensions, and largest Jacobi zeros.
 
-Every function takes plain numbers and arrays: the Jacobi functions
-take alpha, beta and the degree n (jacobi_eval(alpha, beta, n, z)), the
-S^2 harmonics an (M, 3) array of unit vectors (sph_harmonics_s2(L,
-coords) returns the values and the tables they were built from).  The
-harmonic basis holds degrees 1..L, degree l in rows l^2 - 1 ..
-(l+1)^2 - 2 (row_degrees).
+The Jacobi functions take alpha, beta and the degree n
+(jacobi_eval(alpha, beta, n, z)), the S^2 harmonics an (M, 3) array of
+unit vectors: sph_harmonics_s2(L, coords) returns the values and the
+tables they were built from, and sph_harmonics_s2_jacobian takes those
+tables.  The harmonic basis holds degrees 1..L, degree l in rows
+l^2 - 1 .. (l+1)^2 - 2 (row_degrees).
 
 All harmonic evaluation uses stable three-term recurrences in double
 precision; every ratio of gamma functions goes through log-gamma
@@ -293,9 +293,18 @@ class HarmonicTables:
 
 
 def _harmonic_tables(L, coords):
-    """Schmidt and trigonometric tables of the (M, 3) array coords."""
-    coords = _check_s2(coords, L)
-    x, phi2 = _s2_angles(coords)
+    """Schmidt and trigonometric tables of the (M, 3) array coords, of
+    the colatitude cosine about the first axis and the azimuth phi2."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise InvalidDimensionError("spherical harmonics here require d = 2")
+    if L < 0:
+        raise InvalidParameterError("degree must be >= 0, got %r" % (L,))
+    if L > MAX_HARMONIC_DEGREE:
+        raise InvalidParameterError(
+            "degree %d exceeds the stability cap %d" % (L, MAX_HARMONIC_DEGREE))
+    x = np.clip(coords[:, 0], -1.0, 1.0)
+    phi2 = np.arctan2(coords[:, 2], coords[:, 1])
     kphi = np.multiply.outer(np.arange(1, L + 1), phi2)
     trig = np.empty((2 * L + 1, coords.shape[0]))
     trig[:L] = np.sin(kphi)[::-1]
@@ -344,23 +353,6 @@ def _basis_layout(L):
         np.abs(s).astype(float)[:, None], s == 0))
 
 
-def _s2_angles(coords):
-    """Colatitude cosine (about the first axis) and azimuth of S^2 points."""
-    x = np.clip(coords[:, 0], -1.0, 1.0)
-    phi2 = np.arctan2(coords[:, 2], coords[:, 1])
-    return x, phi2
-
-
-def _check_s2(coords, L):
-    coords = np.asarray(coords, dtype=float)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise InvalidDimensionError("spherical harmonics here require d = 2")
-    if L > MAX_HARMONIC_DEGREE:
-        raise InvalidParameterError(
-            "degree %d exceeds the stability cap %d" % (L, MAX_HARMONIC_DEGREE))
-    return coords
-
-
 def sph_harmonics_s2(L, coords):
     """The real orthonormal harmonic basis of degrees 1..L at the rows
     of the (M, 3) array coords of unit vectors.
@@ -378,20 +370,16 @@ def sph_harmonics_s2(L, coords):
     return out, tables
 
 
-def sph_harmonics_s2_jacobian(L, coords, tables=None):
-    """Analytic derivatives of the harmonic basis w.r.t. (phi1, phi2).
+def sph_harmonics_s2_jacobian(tables):
+    """Analytic derivatives of the harmonic basis w.r.t. (phi1, phi2),
+    from the tables that sph_harmonics_s2 returned with the values.
 
     phi1 is the colatitude from the first axis, phi2 the azimuth in the
     plane of the second and third axes.  Returns (dY_dphi1, dY_dphi2),
     each shaped like the value matrix.  At the poles the azimuthal
-    chain-rule entries are taken at their finite limits.  tables, the
-    tables of a value evaluation of the same points and degree, spare
-    building them again.
+    chain-rule entries are taken at their finite limits.
     """
-    if tables is None:
-        tables = _harmonic_tables(L, coords)
-    elif tables.L != L or tables.trig.shape[1] != _check_s2(coords, L).shape[0]:
-        raise InvalidParameterError("harmonic tables of other points or degree")
+    L = tables.L
     lay = _basis_layout(L)
     d1 = _schmidt_theta_deriv(L, tables.q)[lay.rows]
     d1 *= lay.coef

@@ -18,7 +18,7 @@ SIGNATURES = {
     "SolveOptions": ("restarts", "seed"),
     "SolveResult": ("pointset", "converged", "rtr", "iterations", "geometry",
                     "t"),
-    "WeylResidual": ("t", "N", "r", "weights", "tables"),
+    "WeylResidual": ("t", "r", "weights", "tables"),
     "bounds_row": ("d", "t"),
     "dim_harmonic": ("d", "ell"),
     "dim_poly": ("d", "t"),
@@ -54,12 +54,12 @@ SIGNATURES = {
     "separation": ("X",),
     "solve_lsq": ("X0", "t"),
     "sph_harmonics_s2": ("L", "coords"),
-    "sph_harmonics_s2_jacobian": ("L", "coords", "tables"),
+    "sph_harmonics_s2_jacobian": ("tables",),
     "surface_area": ("d",),
     "variational_gradient": ("X", "spec"),
     "variational_value": ("X", "spec"),
     "verify_design": ("X", "t_max", "tolerance"),
-    "weyl_jacobian": ("X", "t", "residual"),
+    "weyl_jacobian": ("X", "residual"),
     "weyl_residual": ("X", "t"),
     "write_pointset": ("X", "path", "t"),
 }

@@ -332,7 +332,6 @@ class TestWeylResidual:
         t = 5
         a = weyl_residual(X, t)
         b = weyl_residual(X.expand(), t)
-        assert a.N == b.N == 8
         assert a.r.tobytes() == b.r.tobytes()
         assert a.weights.tobytes() == b.weights.tobytes()
 
@@ -351,7 +350,7 @@ class TestWeylResidual:
         Y, _ = normalize_pointset(X)
         t = 4
         p = points_to_param(Y)
-        A = weyl_jacobian(Y, t)
+        A = weyl_jacobian(Y, weyl_residual(Y, t))
         h = 1e-7
         for s in range(p.values.size):
             vp = p.values.copy()
@@ -371,7 +370,7 @@ class TestWeylResidual:
         Y, _ = normalize_pointset(X)
         t = 5
         p = points_to_param(Y)
-        A = weyl_jacobian(Y, t)
+        A = weyl_jacobian(Y, weyl_residual_reduced(Y, t))
         h = 1e-7
         from sphdesign.pointset import param_to_points
         for s in range(0, p.values.size, 3):
@@ -392,10 +391,11 @@ class TestWeylResidual:
     def test_jacobian_matches_column_loop(self, N, symmetric):
         # reference: the per-column copy it replaced; the result must be
         # C-contiguous, since the BLAS path of A.T @ (w A) depends on it
-        from sphdesign.specfun import sph_harmonics_s2_jacobian
+        from sphdesign.specfun import (sph_harmonics_s2,
+                                       sph_harmonics_s2_jacobian)
         Y, _ = normalize_pointset(_random_set(2, N, 9, symmetric=symmetric))
         t = 5
-        d1, d2 = sph_harmonics_s2_jacobian(t, Y.coords)
+        d1, d2 = sph_harmonics_s2_jacobian(sph_harmonics_s2(t, Y.coords)[1])
         if symmetric:
             mask = symmetric_row_mask(t)
             d1, d2 = 2.0 * d1[mask], 2.0 * d2[mask]
@@ -407,9 +407,28 @@ class TestWeylResidual:
                 ref[:, s] = d1[:, j] if i == 0 else d2[:, j]
                 s += 1
         res = (weyl_residual_reduced if symmetric else weyl_residual)(Y, t)
-        for A in (weyl_jacobian(Y, t), weyl_jacobian(Y, t, res)):
-            assert A.flags["C_CONTIGUOUS"]
-            assert A.tobytes() == ref.tobytes()
+        A = weyl_jacobian(Y, res)
+        assert A.flags["C_CONTIGUOUS"]
+        assert A.tobytes() == ref.tobytes()
+
+    def test_jacobian_rejects_residual_of_other_points(self):
+        # the full residual of a symmetric set runs over both halves,
+        # while the Jacobian's columns are the representatives' angles
+        Y, _ = normalize_pointset(_random_set(2, 12, 8, symmetric=True))
+        with pytest.raises(InvalidParameterError):
+            weyl_jacobian(Y, weyl_residual(Y, 5))
+        with pytest.raises(InvalidParameterError):
+            weyl_jacobian(Y.expand(), weyl_residual_reduced(Y, 5))
+
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_residual_needs_positive_degree(self, t):
+        # degree 0 has no Weyl sums: an empty residual would read as a
+        # design
+        X = _random_set(2, 8, 3, symmetric=True)
+        with pytest.raises(InvalidParameterError):
+            weyl_residual(X, t)
+        with pytest.raises(InvalidParameterError):
+            weyl_residual_reduced(X, t)
 
     def test_weights_are_shared_read_only(self):
         w = residual_weights(6)
@@ -436,5 +455,6 @@ class TestWeylResidual:
 
     def test_jacobian_requires_normalized(self):
         # columns follow the packed angles of the canonical position
+        X = _random_set(2, 7, 6)
         with pytest.raises(NotNormalizedError):
-            weyl_jacobian(_random_set(2, 7, 6), 4)
+            weyl_jacobian(X, weyl_residual(X, 4))

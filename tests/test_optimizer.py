@@ -78,6 +78,14 @@ class TestLsq:
         with pytest.raises(InvalidDimensionError):
             solve_lsq(X0, 2)
 
+    @pytest.mark.parametrize("t", [0, -1])
+    def test_degree_below_one(self, t):
+        # degree 0 has no Weyl sums, so an empty residual would report
+        # any start as a converged design
+        X0 = initial_points(2, 6, "equal_area_spiral")
+        with pytest.raises(InvalidParameterError):
+            solve_lsq(X0, t)
+
 
 class TestVariationalDescent:
     def test_d3_small(self):

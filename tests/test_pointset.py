@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
                               InvalidParameterError, NotNormalizedError,
                               ParseError)
-from sphdesign.pointset import (ParamVector, PointSet, _angles_to_points,
-                                _free_slots, _slot_jacobian, geodesic_dist,
+from sphdesign.pointset import (ParamVector, PointSet, _angle_bounds,
+                                _free_slots, _moved, _s2_param_columns,
+                                _sine_prefix, _slot_jacobian, geodesic_dist,
                                 is_normalized, n_free, normalize_pointset,
                                 param_jacobian_point, param_to_points,
                                 points_to_param, read_pointset, surface_area,
@@ -25,6 +26,12 @@ def _random_sphere(d, N, seed=0):
     rng = np.random.default_rng(seed)
     c = rng.standard_normal((N, d + 1))
     return c / np.linalg.norm(c, axis=1)[:, None]
+
+
+def _angles_to_points(phi):
+    """Points of the (M, d) spherical angles phi."""
+    c, _, prefix = _sine_prefix(phi)
+    return prefix * c
 
 
 class TestPointSet:
@@ -394,8 +401,45 @@ class TestParamJacobian:
         # pin a few free angles at 0 (zero sine) and at pi
         phi[rows[::4], cols[::4]] = 0.0
         phi[rows[1::5], cols[1::5]] = np.pi
-        J = _slot_jacobian(phi, rows, cols)
+        J = _slot_jacobian(_sine_prefix(phi), rows, cols)
         assert J.shape == (rows.size, d + 1)
         ref = np.array([param_jacobian_point(phi[j])[i]
                         for j, i in zip(rows, cols)])
         assert J.tobytes() == ref.tobytes()
+
+
+class TestPackedLayout:
+    """The packed order of the free angles is written in several forms;
+    they must agree."""
+
+    @pytest.mark.parametrize("reps", [1, 2, 3, 9, 40])
+    def test_s2_columns_match_slot_gather(self, reps):
+        d1, d2 = np.random.default_rng(reps).standard_normal((2, 7, reps))
+        rows, cols = _free_slots(2, reps)
+        ref = np.ascontiguousarray(np.stack([d1, d2])[cols, :, rows].T)
+        A = _s2_param_columns(d1, d2)
+        assert A.flags["C_CONTIGUOUS"]
+        assert A.shape == ref.shape and A.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_free_count_matches_slots_and_bounds(self, d):
+        for N in range(1, 15):
+            for symmetric in (False, True)[:2 - N % 2]:
+                reps = N // 2 if symmetric else N
+                assert (n_free(d, N, symmetric)
+                        == _free_slots(d, reps)[0].size
+                        == _angle_bounds(d, reps)[0].size
+                        == _angle_bounds(d, reps)[1].size)
+
+    @pytest.mark.parametrize("d,N,symmetric", [(1, 5, False), (2, 9, False),
+                                                (3, 8, True), (4, 11, False)])
+    def test_moved_wraps_azimuths_and_clips_the_rest(self, d, N, symmetric):
+        p = ParamVector(d=d, N=N, symmetric=symmetric,
+                        values=np.zeros(n_free(d, N, symmetric)))
+        values = np.random.default_rng(N).uniform(-7.0, 14.0, p.values.size)
+        q = _moved(p, values)
+        azim = _free_slots(d, N // 2 if symmetric else N)[1] == d - 1
+        assert np.array_equal(q.values[azim],
+                              np.mod(values[azim], 2.0 * np.pi))
+        assert np.array_equal(q.values[~azim],
+                              np.clip(values[~azim], 0.0, np.pi))
