@@ -6,10 +6,9 @@ A configuration is a t-design exactly when the quadratic form
 
 vanishes, where psi is a zonal polynomial with strictly positive
 Legendre coefficients a_ell for 1 <= ell <= t and zero mean.  Three
-standard choices are provided.  On S^2 the equivalent weighted
-least-squares form r^T D r over Weyl sums, with the constant diagonal
-of psi_3, is available together with its Jacobian for
-Levenberg-Marquardt iterations.
+standard choices are provided.  On S^2 V_psi3 equals a0 r^T r / N^2
+over the Weyl sums r, so the sums, their constant weight a0 and their
+Jacobian serve Levenberg-Marquardt iterations.
 """
 
 from dataclasses import dataclass, field
@@ -209,13 +208,14 @@ class WeylResidual:
     """Weyl sums r_{ell,k} over a point set on S^2.
 
     r is ordered by ascending degree with the fixed in-degree order of
-    the harmonic basis; weights holds the psi_3 least-squares diagonal
-    a_ell / Z(d, ell) expanded per row.  tables are the harmonic tables
-    of the points the sums ran over, which weyl_jacobian reuses.
+    the harmonic basis.  weights is the psi_3 least-squares weight
+    a_ell / Z(2, ell), the same float a0 for every row since
+    a_ell = a0 Z(2, ell).  tables are the harmonic tables of the points
+    the sums ran over, which weyl_jacobian reuses.
     """
     t: int
     r: np.ndarray
-    weights: np.ndarray
+    weights: float
     tables: specfun.HarmonicTables = field(repr=False, compare=False)
 
     @property
@@ -223,26 +223,12 @@ class WeylResidual:
         return float(comp_sum(self.r * self.r))
 
 
-@lru_cache(maxsize=None)
-def residual_weights(t):
-    """Diagonal psi_3 weights a_ell / Z(2, ell) per residual row of
-    degree t, as a read-only array shared by every caller with that t."""
-    if t < 1:
-        raise InvalidParameterError("Weyl sums need t >= 1, got %r" % (t,))
-    # a_ell = a0 Z(2, ell), so every weight collapses to a0
-    a = _a0_psi2(2, t) * (2 * np.arange(1, t + 1) + 1)
-    deg = specfun.row_degrees(t)
-    w = a[deg - 1] / (2 * deg + 1)
-    w.setflags(write=False)
-    return w
-
-
 def weyl_residual(X, t):
     """Weyl sums r_{ell,k} = sum_j Y_{ell,k}(x_j) for ell = 1..t (d = 2),
-    over the expanded points, with the psi_3 weights."""
+    over the expanded points, with the psi_3 weight."""
     if X.d != 2:
         raise InvalidDimensionError("Weyl residuals require d = 2")
-    weights = residual_weights(t)
+    weights = make_psi(PSI3, 2, t).a0
     values, tables = specfun.sph_harmonics_s2(t, X.expanded())
     return WeylResidual(t=t, r=comp_sum(values, axis=1), weights=weights,
                         tables=tables)
@@ -252,14 +238,13 @@ def weyl_residual(X, t):
 def symmetric_row_mask(t):
     """Mask of even-degree rows in the full residual of degree t
     (read-only)."""
-    mask = specfun.row_degrees(t) % 2 == 0
-    mask.setflags(write=False)
+    mask, = specfun._frozen(specfun.row_degrees(t) % 2 == 0)
     return mask
 
 
 def weyl_residual_reduced(X, t):
     """Residual restricted to even degrees for a symmetric set, with the
-    psi3 weights.
+    psi_3 weight.
 
     The sums run over the representatives and are doubled; odd degrees
     cancel identically by symmetry so they are dropped.
@@ -268,8 +253,8 @@ def weyl_residual_reduced(X, t):
         raise InvalidDimensionError("Weyl residuals require d = 2")
     if not X.symmetric:
         raise InvalidParameterError("reduced residual needs a symmetric set")
+    weights = make_psi(PSI3, 2, t).a0
     mask = symmetric_row_mask(t)
-    weights = residual_weights(t)[mask]
     values, tables = specfun.sph_harmonics_s2(t, X.coords)
     r = 2.0 * comp_sum(values[mask], axis=1)
     return WeylResidual(t=t, r=r, weights=weights, tables=tables)

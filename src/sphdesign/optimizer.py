@@ -1,10 +1,10 @@
 """Finding point sets with vanishing design criteria.
 
 Two engines are provided.  For S^2 a Levenberg-Marquardt iteration on
-the weighted Weyl-sum residual, with the search direction solving
-(A^T D A + nu I) p = -A^T D r.  For any dimension and psi a
-bound-constrained limited-memory quasi-Newton minimization of the
-variational value V.
+the Weyl-sum residual r with the constant psi_3 weight a0, with the
+search direction solving (a0 A^T A + nu I) p = -a0 A^T r.  For any
+dimension and psi a bound-constrained limited-memory quasi-Newton
+minimization of the variational value V.
 
 generate_design lets the dimension pick the engine: Levenberg-Marquardt
 on S^2, quasi-Newton descent on V_psi3 for d > 2.  It runs seeded start
@@ -102,18 +102,14 @@ def initial_points(d, N, kind, seed=0):
         if d != 2:
             raise InvalidDimensionError("the lattice start is for d = 2 only")
         return _fibonacci(N)
-    if kind == "random_uniform":
-        rng = np.random.default_rng(seed)
-        coords = rng.standard_normal((N, d + 1))
-        coords /= np.linalg.norm(coords, axis=1)[:, None]
-        return PointSet(d=d, coords=coords)
-    if kind == "symmetric_double":
-        if N % 2:
+    if kind in ("random_uniform", "symmetric_double"):
+        symmetric = kind == "symmetric_double"
+        if symmetric and N % 2:
             raise InvalidParameterError("symmetric starts need even N")
         rng = np.random.default_rng(seed)
-        coords = rng.standard_normal((N // 2, d + 1))
+        coords = rng.standard_normal((N // 2 if symmetric else N, d + 1))
         coords /= np.linalg.norm(coords, axis=1)[:, None]
-        return PointSet(d=d, coords=coords, symmetric=True)
+        return PointSet(d=d, coords=coords, symmetric=symmetric)
     raise InvalidParameterError("unknown start kind %r" % (kind,))
 
 
@@ -173,8 +169,7 @@ def _make_result(X, t, iterations):
 
 def minimize_variational(X0, spec):
     """Bound-constrained quasi-Newton minimization of V over the packed
-    angles.  Accepted iterates never increase V; the result is
-    re-normalized before reporting."""
+    angles.  Accepted iterates never increase V."""
     if X0.d != spec.d:
         raise InvalidDimensionError("point set and psi dimension differ")
     p0 = _pack(X0)
@@ -201,8 +196,7 @@ def minimize_variational(X0, spec):
         if res2.fun <= res.fun:
             best = res2.x
         its += int(res2.nit)
-    X, _ = normalize_pointset(param_to_points(_moved(p0, best)))
-    return _make_result(X, spec.t, its)
+    return _make_result(param_to_points(_moved(p0, best)), spec.t, its)
 
 
 def _lsq_residual(p, t):
@@ -216,11 +210,12 @@ def _lsq_residual(p, t):
 
 def solve_lsq(X0, t):
     """Levenberg-Marquardt on the Weyl residual (d = 2), weighted by the
-    constant psi3 diagonal.
+    constant psi_3 weight.
 
     A symmetric X0 is solved on its representatives and even-degree
     rows only.  A start with no free angles is reported as it is.  A
-    solve runs at most _LM_MAX_ITERATIONS iterations.
+    solve runs at most _LM_MAX_ITERATIONS iterations, and ends early
+    when no damping up to nu = 1e14 lowers the objective.
     """
     if X0.d != 2:
         raise InvalidDimensionError("least squares requires d = 2")
@@ -246,11 +241,11 @@ def solve_lsq(X0, t):
             break
         A = criteria.weyl_jacobian(X, res)
         g = A.T @ (w * res.r)
-        if np.max(np.abs(2.0 * g)) <= _GRADIENT_TOLERANCE and nu > 1e10:
-            break
-        B = A.T @ (w[:, None] * A)
+        B = A.T @ (w * A)
         stepped = False
-        for _ in range(60):
+        # a singular system is rejected like a step that fails to
+        # lower f, so every path raises nu and ends past 1e14
+        while nu <= 1e14:
             try:
                 direction = np.linalg.solve(B + nu * eye, -g)
             except np.linalg.LinAlgError:
@@ -265,8 +260,6 @@ def solve_lsq(X0, t):
                 stepped = True
                 break
             nu *= _LM_NU_UP
-            if nu > 1e14:
-                break
         its += 1
         f_hist.append(f)
         if not stepped:

@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidPointError,
                      InvalidParameterError, NotNormalizedError, ParseError)
+from .specfun import _frozen
 
 UNIT_TOL = 1e-12
 READ_NORM_TOL = 1e-8
@@ -109,12 +110,6 @@ def n_free(d, N, symmetric=False):
     return N * d - d * (d + 1) // 2
 
 
-def _read_only(*arrays):
-    for a in arrays:
-        a.setflags(write=False)
-    return arrays
-
-
 @lru_cache(maxsize=None)
 def _free_slots(d, N):
     """Packed order of free angles as two read-only index arrays: point
@@ -122,7 +117,7 @@ def _free_slots(d, N):
     for point j."""
     slots = [(j, i) for j in range(1, N) for i in range(min(j, d))]
     j, i = np.array(slots, dtype=int).reshape(-1, 2).T
-    return _read_only(j.copy(), i.copy())
+    return _frozen(j.copy(), i.copy())
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +125,7 @@ def _angle_bounds(d, N):
     """Read-only (lower, upper) bounds of the packed angles of N points:
     the final angle of a point lies in [0, 2 pi], the others in [0, pi]."""
     _, i = _free_slots(d, N)
-    return _read_only(np.zeros(i.size), np.where(i == d - 1, TWO_PI, np.pi))
+    return _frozen(np.zeros(i.size), np.where(i == d - 1, TWO_PI, np.pi))
 
 
 @dataclass

@@ -6,9 +6,9 @@ at most BLOCK entries goes through math.fsum and is correctly rounded.
 A longer one is split into fixed-width blocks, summed by a compensated
 (Kahan) accumulation vectorized across the block lanes, and the lane
 totals and corrections are combined by math.fsum.  The reduction
-shape depends only on the input length, never on worker count, so the
-result is bitwise reproducible.  Summing along an axis treats every
-row as its own input: each row gets the bits it would get alone.
+shape depends only on the input length, so the result is bitwise
+reproducible.  Summing along an axis treats every row as its own
+input: each row gets the bits it would get alone.
 """
 
 import math

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from sphdesign import polytopes
 from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, make_psi,
                                 psi_coefficients, psi_deriv, psi_eval,
-                                residual_weights, symmetric_row_mask,
+                                symmetric_row_mask,
                                 variational_gradient, variational_value,
                                 variational_value_and_param_gradient,
                                 variational_values,
@@ -308,21 +308,20 @@ class TestWeylResidual:
         t = 5
         res = weyl_residual(_random_set(2, 8, 1), t)
         assert res.r.size == (t + 1) ** 2 - 1
-        w = residual_weights(t)
-        blocks = np.split(w, np.cumsum([2 * l + 1 for l in range(1, t)]))
-        for l, b in enumerate(blocks, start=1):
-            assert np.allclose(b, b[0])
-            assert b.size == dim_harmonic(2, l)
+        assert res.weights == make_psi(PSI3, 2, t).a0
 
-    def test_weights_and_mask_match_degree_loops(self):
-        # the per-degree loops the row-degree array replaced
+    def test_weight_is_the_psi3_a0(self):
+        # a_ell = a0 Z(2, ell), so a_ell / Z(2, ell) is the float a0 itself
+        X = _random_set(2, 8, 5, symmetric=True)
+        for t in range(1, 61):
+            a0 = make_psi(PSI3, 2, t).a0
+            for res in (weyl_residual(X, t), weyl_residual_reduced(X, t)):
+                assert type(res.weights) is float
+                assert res.weights == a0
+
+    def test_mask_matches_degree_loop(self):
+        # the per-degree loop the row-degree array replaced
         for t in (1, 2, 5, 12):
-            spec = make_psi(PSI3, 2, t)
-            a = [spec.a0 * (2 * ell + 1) for ell in range(1, t + 1)]
-            ref = np.concatenate([np.full(2 * ell + 1,
-                                          a[ell - 1] / (2 * ell + 1))
-                                  for ell in range(1, t + 1)])
-            assert residual_weights(t).tobytes() == ref.tobytes()
             ref = np.concatenate([np.full(2 * ell + 1, ell % 2 == 0)
                                   for ell in range(1, t + 1)])
             assert symmetric_row_mask(t).tobytes() == ref.tobytes()
@@ -333,7 +332,7 @@ class TestWeylResidual:
         a = weyl_residual(X, t)
         b = weyl_residual(X.expand(), t)
         assert a.r.tobytes() == b.r.tobytes()
-        assert a.weights.tobytes() == b.weights.tobytes()
+        assert a.weights == b.weights
 
     def test_reduced_matches_full_on_symmetric(self):
         X = _random_set(2, 12, 4, symmetric=True)
@@ -429,12 +428,6 @@ class TestWeylResidual:
             weyl_residual(X, t)
         with pytest.raises(InvalidParameterError):
             weyl_residual_reduced(X, t)
-
-    def test_weights_are_shared_read_only(self):
-        w = residual_weights(6)
-        assert w is residual_weights(6)
-        with pytest.raises(ValueError):
-            w[0] = 1.0
 
     def test_rotation_invariance_of_norms(self):
         rng = np.random.default_rng(12)

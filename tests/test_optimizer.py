@@ -73,6 +73,35 @@ class TestLsq:
         assert res.pointset.symmetric
         assert verify_design(res.pointset, 3).is_design
 
+    def test_singular_system_raises_the_damping(self, monkeypatch):
+        # one failed solve is retried with more damping, not fatal
+        solve = np.linalg.solve
+        calls = []
+
+        def fail_once(B, g):
+            calls.append(B[0, 0])
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular")
+            return solve(B, g)
+
+        monkeypatch.setattr(np.linalg, "solve", fail_once)
+        res = solve_lsq(initial_points(2, 6, "equal_area_spiral"), 2)
+        assert res.converged
+        assert calls[1] > calls[0]
+
+    def test_always_singular_system_ends_unconverged(self, monkeypatch):
+        def fail(B, g):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", fail)
+        X0 = initial_points(2, 6, "equal_area_spiral")
+        res = solve_lsq(X0, 2)
+        assert not res.converged
+        assert res.iterations == 1
+        # the start is returned as packed
+        assert np.array_equal(res.pointset.coords,
+                              param_to_points(_pack(X0)).coords)
+
     def test_d2_only(self):
         X0 = initial_points(3, 8, "random_uniform")
         with pytest.raises(InvalidDimensionError):
