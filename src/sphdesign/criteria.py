@@ -69,8 +69,10 @@ def _a0_psi2(d, t):
                - lgamma(2.0 * alpha + 2.0 + t))
 
 
+@lru_cache(maxsize=None)
 def make_psi(kind, d, t):
-    """Build a PsiSpec with precomputed coefficients."""
+    """Build a PsiSpec with precomputed coefficients, one per argument
+    tuple."""
     if kind not in KINDS:
         raise InvalidParameterError("unknown psi kind %r" % (kind,))
     if d < 2:
@@ -90,12 +92,22 @@ def make_psi(kind, d, t):
     return PsiSpec(kind=kind, d=d, t=t, a0=a0, psi_at_1=raw_at_1 - a0)
 
 
+def _power(z, n):
+    """z ** n from the positive base |z|, the sign restored for odd n.
+
+    numpy's power takes a slow path on negative bases, and about half
+    of the Gram entries are negative.
+    """
+    p = np.abs(z) ** n
+    return np.copysign(p, z) if n % 2 else p
+
+
 def psi_eval(spec, z):
     """psi(z), vectorized over z in [-1, 1]."""
     z = np.asarray(z, dtype=float)
     t = spec.t
     if spec.kind == PSI1:
-        return z ** (t - 1) + z ** t - spec.a0
+        return _power(z, t - 1) + _power(z, t) - spec.a0
     if spec.kind == PSI2:
         return (0.5 * (1.0 + z)) ** t - spec.a0
     return specfun.jacobi_eval(spec.alpha + 1.0, spec.alpha, t, z) - spec.a0
@@ -106,11 +118,9 @@ def psi_deriv(spec, z):
     z = np.asarray(z, dtype=float)
     t = spec.t
     if spec.kind == PSI1:
-        out = t * z ** (t - 1)
+        out = t * _power(z, t - 1)
         if t >= 2:
-            out = out + (t - 1) * z ** (t - 2)
-        else:
-            out = out + np.zeros_like(z)
+            out = out + (t - 1) * _power(z, t - 2)
         return out
     if spec.kind == PSI2:
         return 0.5 * t * (0.5 * (1.0 + z)) ** (t - 1)

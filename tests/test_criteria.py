@@ -1,11 +1,13 @@
 """Variational criteria and Weyl residuals against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from sphdesign import polytopes
-from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, make_psi,
+from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 psi_coefficients, psi_deriv, psi_eval,
                                 symmetric_row_mask,
                                 variational_gradient, variational_value,
@@ -99,12 +101,47 @@ class TestPsiSpecs:
         assert np.allclose(psi_deriv(spec, z), fd, rtol=1e-6, atol=1e-6)
 
     def test_invalid(self):
-        with pytest.raises(InvalidParameterError):
-            make_psi("psi9", 2, 3)
-        with pytest.raises(InvalidDimensionError):
-            make_psi(PSI1, 1, 3)
-        with pytest.raises(InvalidParameterError):
-            make_psi(PSI1, 2, 0)
+        # the cache of make_psi keeps no failure: every call raises
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                make_psi("psi9", 2, 3)
+            with pytest.raises(InvalidDimensionError):
+                make_psi(PSI1, 1, 3)
+            with pytest.raises(InvalidParameterError):
+                make_psi(PSI1, 2, 0)
+
+    def test_spec_is_built_once_per_arguments(self):
+        assert make_psi(PSI1, 3, 7) is make_psi(PSI1, 3, 7)
+        assert make_psi(PSI1, 3, 7) is not make_psi(PSI1, 3, 8)
+
+    @pytest.mark.parametrize("t", [1, 2, 11, 50])
+    def test_psi1_matches_math_pow(self, t):
+        # oracle: the defining powers through math.pow, one z at a time
+        spec = make_psi(PSI1, 2, t)
+        zs = [-1.0, -0.5, -0.0, 0.0, 0.3, 1.0]
+        got_v = psi_eval(spec, np.array(zs))
+        got_d = psi_deriv(spec, np.array(zs))
+        for z, v, dv in zip(zs, got_v, got_d):
+            terms = [math.pow(z, t - 1), math.pow(z, t), spec.a0]
+            ref = terms[0] + terms[1] - terms[2]
+            assert abs(v - ref) <= 4 * math.ulp(max(map(abs, terms)))
+            assert math.copysign(1.0, v) == math.copysign(1.0, ref)
+            terms = [t * math.pow(z, t - 1)]
+            if t >= 2:
+                terms.append((t - 1) * math.pow(z, t - 2))
+            ref = math.fsum(terms)
+            assert abs(dv - ref) <= 4 * math.ulp(max(map(abs, terms)))
+            assert math.copysign(1.0, dv) == math.copysign(1.0, ref)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 11, 50])
+    def test_power_keeps_the_sign(self, n):
+        zs = np.array([-1.0, -0.5, -0.0, 0.0, 0.3, 1.0])
+        for z, p in zip(zs, _power(zs, n)):
+            ref = math.pow(z, n)
+            assert abs(p - ref) <= 2 * math.ulp(ref)
+            assert math.copysign(1.0, p) == math.copysign(1.0, ref)
+        # -0.0 to an odd power is -0.0
+        assert math.copysign(1.0, _power(np.array(-0.0), 3)) == -1.0
 
 
 class TestVariationalValue:

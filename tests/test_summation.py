@@ -7,7 +7,58 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign.summation import comp_sum
+from sphdesign.summation import (BLOCK, _FSUM_ELEMENTS, _certified_sums,
+                                 comp_sum)
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def _hard_rows(R, n, seed):
+    """R rows of n floats, in turn: plain, exponents spread over +-300,
+    heavy cancellation, near a rounding midpoint, and mirrored to an
+    exact zero."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((R, n))
+    x[1::5] *= 10.0 ** rng.integers(-300, 300, x[1::5].shape)
+    x[2::5] *= 10.0 ** rng.integers(-8, 8, x[2::5].shape)
+    x[2::5, 0] -= x[2::5].sum(axis=1)
+    x[2::5, -1] -= x[2::5].sum(axis=1)
+    x[3::5] = 0.0
+    x[3::5, 0] = 1.0
+    if n > 1:
+        x[3::5, 1] = 2.0 ** -53  # the midpoint of 1 and its successor
+    if n > 2:
+        x[3::5, 2] = rng.choice([-1.0, 1.0], x[3::5, 2].shape) * 2.0 ** -200
+    half = n // 2
+    x[4::5, half:2 * half] = -x[4::5, :half]
+    return x
+
+
+def _kahan_lanes_then_fsum(x):
+    """comp_sum's contract for a row longer than BLOCK, written out:
+    Kahan sums down BLOCK lanes, then fsum of the totals and the
+    negated corrections."""
+    x = list(x) + [0.0] * (-len(x) % BLOCK)
+    totals, corrections = [], []
+    for lane in range(BLOCK):
+        s = c = 0.0
+        for v in x[lane::BLOCK]:
+            y = v - c
+            t = s + y
+            c = (t - s) - y
+            s = t
+        totals.append(s)
+        corrections.append(-c)
+    return math.fsum(totals + corrections)
+
+
+def _fsum_or_error(row):
+    try:
+        return _bits(math.fsum(row))
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
 
 
 def test_empty_and_single():
@@ -50,6 +101,7 @@ def test_axis_sums_each_row_alone():
         assert got.shape == rows.shape[:-1]
         assert all(got[i] == comp_sum(rows[i]) for i in np.ndindex(got.shape))
     assert np.array_equal(comp_sum(np.zeros((4, 0)), axis=1), np.zeros(4))
+    assert comp_sum(np.zeros((0, 3 * BLOCK)), axis=1).shape == (0,)
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
@@ -57,5 +109,65 @@ def test_axis_sums_each_row_alone():
 @settings(max_examples=50, deadline=None)
 def test_agrees_with_fsum_property(values):
     x = np.array(values, dtype=float)
-    expect = math.fsum(values)
-    assert comp_sum(x) == pytest.approx(expect, rel=1e-15, abs=1e-6)
+    assert comp_sum(x) == math.fsum(values)
+
+
+@pytest.mark.parametrize("R,n", [
+    (_FSUM_ELEMENTS // 16 - 1, 16), (_FSUM_ELEMENTS // 16, 16),
+    (1, BLOCK - 1), (1, BLOCK), (2, BLOCK), (40, BLOCK), (300, 3),
+    (2000, 18), (399, 202)])
+def test_rows_have_fsum_bits(R, n):
+    # each side of the fsum/certified size threshold and up to BLOCK
+    x = _hard_rows(R, n, seed=R * n)
+    got = comp_sum(x, axis=1)
+    assert [_bits(v) for v in got] == [_bits(math.fsum(row)) for row in x]
+    assert _bits(comp_sum(x[-1])) == _bits(math.fsum(x[-1]))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** -1000, 2.0 ** -1060, 2.0 ** 900])
+def test_rows_near_underflow_and_overflow_have_fsum_bits(scale):
+    x = _hard_rows(400, 8, seed=3)
+    x = x / np.max(np.abs(x), axis=1, keepdims=True) * scale
+    got = comp_sum(x, axis=1)
+    assert [_bits(v) for v in got] == [_bits(math.fsum(row)) for row in x]
+
+
+def test_certificate_never_holds_for_a_wrong_sum():
+    x = _hard_rows(500, 64, seed=5)
+    total, certified = _certified_sums(x)
+    expect = [math.fsum(row) for row in x]
+    assert all(_bits(total[i]) == _bits(expect[i])
+               for i in np.flatnonzero(certified))
+    # both outcomes occur: the midpoint rows cannot be certified
+    assert certified.any() and not certified.all()
+    assert not certified[3::5].any()
+
+
+@pytest.mark.parametrize("n", [BLOCK + 1, 1302, 2 * BLOCK + 1, 100003])
+def test_long_rows_combine_kahan_lanes_by_fsum(n):
+    R = 1 if n > 10000 else 40  # more rows than one group of lanes
+    x = _hard_rows(R, n, seed=n)
+    got = comp_sum(x, axis=1)
+    assert [_bits(v) for v in got] == [
+        _bits(_kahan_lanes_then_fsum(row)) for row in x]
+
+
+@pytest.mark.filterwarnings("error")  # and no numpy warning on the way
+@pytest.mark.parametrize("R", [1, 200])
+@pytest.mark.parametrize("bad", [
+    [math.inf], [math.nan], [math.inf, -math.inf], [-math.inf, math.nan],
+    [1.7e308, 1.7e308], [1.7e308, -1.7e308], [1.7e308, 1e300],
+    [1.7e308, 1.7e308, -1.7e308], [-1.7e308, -1e292]])
+def test_nonfinite_rows_act_as_fsum(R, bad):
+    # a lone row takes the fsum path; among 200 rows the certified one
+    rng = np.random.default_rng(len(bad))
+    n = 12
+    x = rng.standard_normal((R, n))
+    x[R // 2, :len(bad)] = bad
+    expect = [_fsum_or_error(row) for row in x.tolist()]
+    errors = [e for e in expect if isinstance(e, type)]
+    if errors:
+        with pytest.raises(errors[0]):
+            comp_sum(x, axis=1)
+    else:
+        assert [_bits(v) for v in comp_sum(x, axis=1)] == expect
