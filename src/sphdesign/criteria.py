@@ -176,7 +176,7 @@ def _gradient_from_gram(g, coords, spec):
 
 
 def variational_value(X, spec):
-    """V = (1/N^2) sum_{i,j} psi(x_i . x_j), compensated summation.
+    """V = (1/N^2) sum_{i,j} psi(x_i . x_j), correctly rounded summation.
 
     The diagonal uses the analytic value psi(1) instead of evaluating
     the polynomial at a rounded inner product.

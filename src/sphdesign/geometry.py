@@ -196,7 +196,7 @@ def inner_product_set(X, dedup=1e-9):
 
 
 def riesz_energy(X, s):
-    """Riesz energy sum_{i<j} |x_i - x_j|^(-s), compensated."""
+    """Riesz energy sum_{i<j} |x_i - x_j|^(-s), correctly rounded."""
     if not (np.isfinite(s) and s > 0):
         raise InvalidParameterError(
             "the energy exponent must be finite and positive, got %r" % (s,))

@@ -50,10 +50,18 @@ class PointSet:
                 "coords must be (N, d+1), got shape %r" % (coords.shape,))
         if coords.shape[0] < 1:
             raise InvalidPointError("need at least one point")
-        finite = np.all(np.isfinite(coords), axis=1)
-        if not np.all(finite):
+        # no unit vector has a coordinate beyond +-1; the bound keeps the
+        # norms from overflowing, and NaN fails it too
+        if not np.abs(coords).max() <= 2.0:
+            finite = np.all(np.isfinite(coords), axis=1)
+            if not np.all(finite):
+                raise InvalidPointError("row %d has a non-finite coordinate"
+                                        % int(np.argmin(finite)))
+            big = np.abs(coords).max(axis=1)
+            i = int(np.argmax(big > 2.0))
             raise InvalidPointError(
-                "row %d has a non-finite coordinate" % int(np.argmin(finite)))
+                "row %d has a coordinate of magnitude %.3g, so its norm is "
+                "not within %g of 1" % (i, big[i], UNIT_TOL))
         norms = np.linalg.norm(coords, axis=1)
         bad = np.abs(norms - 1.0) > UNIT_TOL
         if np.any(bad):
@@ -362,6 +370,10 @@ def read_pointset(path):
     if not np.all(finite):
         raise InvalidPointError("line %d: non-finite coordinate"
                                 % rows[int(np.argmin(finite))][0])
+    big = np.abs(coords).max(axis=1) > 2.0  # as in PointSet
+    if np.any(big):
+        raise InvalidPointError("line %d: coordinate too large for a unit "
+                                "vector" % rows[int(np.argmax(big))][0])
     norms = np.linalg.norm(coords, axis=1)
     worst = float(np.max(np.abs(norms - 1.0)))
     if worst > READ_NORM_TOL:

@@ -19,7 +19,7 @@ DEFAULT_TOL = 1e-12
 
 
 def integrate(X, f):
-    """Equal-weight rule (1/N) sum_j f(x_j) with compensated summation.
+    """Equal-weight rule (1/N) sum_j f(x_j), correctly rounded summation.
 
     f maps one unit vector (length d+1 array) to a float.
     """

@@ -18,7 +18,7 @@ from sphdesign.criteria import make_psi
 from sphdesign.pointset import points_to_param, param_to_points
 from sphdesign.quadrature import verify_design
 from sphdesign.specfun import legendre_norm_batch
-from sphdesign.summation import comp_sum
+from sphdesign.summation import _CHUNK, comp_sum
 
 
 class TestBoundsS2:
@@ -230,11 +230,12 @@ class TestProperties:
         assert abs(ga.h - gb.h) <= 2e-4
 
     def test_thread_count_determinism(self):
-        # row sums in one call give each row the bits it gets alone, on
-        # both sides of the fsum / blocked-Kahan switch at 1024; the
-        # cross-process BLAS thread check is in test_cli.py
+        # row sums in one call give each row the bits it gets alone,
+        # whether the call takes fsum, one certified pass, several rows
+        # to a pass or several column chunks to a row; the cross-process
+        # BLAS thread check is in test_cli.py
         rng = np.random.default_rng(23)
-        for width in (1, 1024, 1025, 3000):
+        for width in (1, 1024, 1025, 3000, _CHUNK + 1000):
             data = rng.standard_normal((7, width)) * 10.0 ** rng.integers(
                 -8, 8, (7, width))
             rows = np.array([comp_sum(row) for row in data])

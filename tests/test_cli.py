@@ -105,6 +105,22 @@ class TestVerify:
         assert captured.out == ""
         assert captured.err.startswith("error: tolerance")
 
+    @pytest.mark.parametrize("huge", ["1e308", "1e200"])
+    def test_huge_coordinate_file(self, tmp_path, huge):
+        # a child process, so any numpy warning would reach its stderr
+        path = tmp_path / "huge.txt"
+        path.write_text("# d=2 N=3\n1 0 0\n0 1 0\n%s 0 0\n" % huge)
+        src = os.path.dirname(os.path.dirname(sphdesign.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run([sys.executable, "-m", "sphdesign.cli",
+                               "verify", str(path), "--t", "1"],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines() == [
+            "error: line 4: coordinate too large for a unit vector"]
+
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt"), "--t", "3"]) == 2
 

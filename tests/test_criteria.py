@@ -186,6 +186,20 @@ class TestVariationalValue:
         sigma = np.std(vals) / np.sqrt(runs)
         assert abs(np.mean(vals) - expect) < 3.0 * sigma
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("make", [polytopes.cell600, polytopes.cell120])
+    def test_pair_sum_is_fsum(self, make, kind):
+        # N^2 = 14,400 and 360,000 pair values that cancel heavily: the
+        # sum is the correctly rounded one, not only close to it
+        X = make()
+        spec = make_psi(kind, 3, 11)
+        g = np.clip(X.coords @ X.coords.T, -1.0, 1.0)
+        vals = psi_eval(spec, g)
+        np.fill_diagonal(vals, spec.psi_at_1)
+        N = X.N
+        expect = math.fsum(vals.ravel().tolist()) / (N * N)
+        assert variational_value(X, spec).hex() == expect.hex()
+
     def test_mismatched_dimension(self):
         with pytest.raises(InvalidDimensionError):
             variational_value(_random_set(3, 5), make_psi(PSI1, 2, 3))

@@ -61,6 +61,14 @@ class TestPointSet:
         with pytest.raises(InvalidPointError, match="row 1"):
             PointSet(d=2, coords=c)
 
+    @pytest.mark.filterwarnings("error")  # and no overflow warning
+    @pytest.mark.parametrize("huge", [1e308, -1e308, 1e200, 3.0])
+    def test_rejects_huge_coordinate(self, huge):
+        c = np.eye(3)
+        c[1] = [huge, huge, 0.0]
+        with pytest.raises(InvalidPointError, match="row 1 .* magnitude"):
+            PointSet(d=2, coords=c)
+
     def test_rejects_bad_shape(self):
         with pytest.raises(InvalidPointError):
             PointSet(d=2, coords=np.eye(4))
@@ -295,6 +303,15 @@ class TestIO:
 
         path.write_text("1.1 0 0\n0 1 0\n")
         with pytest.raises(InvalidPointError):
+            read_pointset(path)
+
+    @pytest.mark.filterwarnings("error")  # and no overflow warning
+    @pytest.mark.parametrize("row", ["1e308 0 0", "0 -1e308 1e308",
+                                     "1e200 1e200 0"])
+    def test_huge_coordinate_row(self, tmp_path, row):
+        path = tmp_path / "huge.txt"
+        path.write_text("# d=2 N=3\n1 0 0\n0 1 0\n%s\n" % row)
+        with pytest.raises(InvalidPointError, match="line 4: coordinate"):
             read_pointset(path)
 
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])

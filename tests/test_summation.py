@@ -1,4 +1,4 @@
-"""Compensated summation against exact oracles."""
+"""Correctly rounded summation against math.fsum."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sphdesign.summation import (BLOCK, _FSUM_ELEMENTS, _certified_sums,
+from sphdesign.summation import (_CHUNK, _FSUM_ELEMENTS, _certified_sums,
                                  comp_sum)
 
 
@@ -36,24 +36,6 @@ def _hard_rows(R, n, seed):
     return x
 
 
-def _kahan_lanes_then_fsum(x):
-    """comp_sum's contract for a row longer than BLOCK, written out:
-    Kahan sums down BLOCK lanes, then fsum of the totals and the
-    negated corrections."""
-    x = list(x) + [0.0] * (-len(x) % BLOCK)
-    totals, corrections = [], []
-    for lane in range(BLOCK):
-        s = c = 0.0
-        for v in x[lane::BLOCK]:
-            y = v - c
-            t = s + y
-            c = (t - s) - y
-            s = t
-        totals.append(s)
-        corrections.append(-c)
-    return math.fsum(totals + corrections)
-
-
 def _fsum_or_error(row):
     try:
         return _bits(math.fsum(row))
@@ -73,14 +55,15 @@ def test_matches_fsum_small():
 
 
 def test_matches_fsum_large_blocked():
-    # exercises the blocked path (more than one lane block)
+    # a row of several column chunks of the certified path
     rng = np.random.default_rng(7)
     x = rng.standard_normal(100003) * 10.0 ** rng.integers(-10, 10, 100003)
-    assert comp_sum(x) == pytest.approx(math.fsum(x), rel=0, abs=1e-9)
+    assert _bits(comp_sum(x)) == _bits(math.fsum(x))
 
 
 def test_cancellation():
-    # naive summation loses all digits here; compensated keeps them
+    # naive summation loses all digits here; the correctly rounded sum
+    # keeps them
     x = np.array([1e16, 1.0, -1e16, 1.0] * 4000)
     assert comp_sum(x) == 8000.0
 
@@ -101,7 +84,7 @@ def test_axis_sums_each_row_alone():
         assert got.shape == rows.shape[:-1]
         assert all(got[i] == comp_sum(rows[i]) for i in np.ndindex(got.shape))
     assert np.array_equal(comp_sum(np.zeros((4, 0)), axis=1), np.zeros(4))
-    assert comp_sum(np.zeros((0, 3 * BLOCK)), axis=1).shape == (0,)
+    assert comp_sum(np.zeros((0, 3 * _CHUNK)), axis=1).shape == (0,)
 
 
 @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
@@ -114,10 +97,11 @@ def test_agrees_with_fsum_property(values):
 
 @pytest.mark.parametrize("R,n", [
     (_FSUM_ELEMENTS // 16 - 1, 16), (_FSUM_ELEMENTS // 16, 16),
-    (1, BLOCK - 1), (1, BLOCK), (2, BLOCK), (40, BLOCK), (300, 3),
+    (1, 1023), (1, 1024), (2, 1024), (40, 1024), (300, 3),
     (2000, 18), (399, 202)])
 def test_rows_have_fsum_bits(R, n):
-    # each side of the fsum/certified size threshold and up to BLOCK
+    # each side of the fsum/certified size threshold, and many rows of
+    # one certified pass
     x = _hard_rows(R, n, seed=R * n)
     got = comp_sum(x, axis=1)
     assert [_bits(v) for v in got] == [_bits(math.fsum(row)) for row in x]
@@ -143,13 +127,28 @@ def test_certificate_never_holds_for_a_wrong_sum():
     assert not certified[3::5].any()
 
 
-@pytest.mark.parametrize("n", [BLOCK + 1, 1302, 2 * BLOCK + 1, 100003])
-def test_long_rows_combine_kahan_lanes_by_fsum(n):
-    R = 1 if n > 10000 else 40  # more rows than one group of lanes
+def test_remainders_of_every_chunk_count():
+    # the tiny values of the first column chunk reach the sum only as
+    # remainders; 1 and -1 in the last chunk cancel, and the sum they
+    # leave, 2^-30 plus those remainders, is certified
+    rng = np.random.default_rng(4)
+    x = np.zeros(2 * _CHUNK + 12)
+    x[:_CHUNK] = rng.uniform(0.5, 1.0, _CHUNK) * 2.0 ** -72
+    x[-3:] = [1.0, -1.0, 2.0 ** -30]
+    total, certified = _certified_sums(x[None, :])
+    assert certified[0]
+    assert _bits(total[0]) == _bits(math.fsum(x)) != _bits(2.0 ** -30)
+
+
+@pytest.mark.parametrize("n", [
+    1025, 1302, 2049, _CHUNK - 1, _CHUNK, _CHUNK + 1, 100003, 1302 ** 2])
+def test_long_rows_have_fsum_bits(n):
+    # rows of one and of many column chunks, up to the pair sum of
+    # 1302 points, each in its own pass or several to a pass
+    R = 3 if n > 10 ** 6 else 5 if n > 10000 else 40
     x = _hard_rows(R, n, seed=n)
     got = comp_sum(x, axis=1)
-    assert [_bits(v) for v in got] == [
-        _bits(_kahan_lanes_then_fsum(row)) for row in x]
+    assert [_bits(v) for v in got] == [_bits(math.fsum(row)) for row in x]
 
 
 @pytest.mark.filterwarnings("error")  # and no numpy warning on the way
@@ -159,11 +158,18 @@ def test_long_rows_combine_kahan_lanes_by_fsum(n):
     [1.7e308, 1.7e308], [1.7e308, -1.7e308], [1.7e308, 1e300],
     [1.7e308, 1.7e308, -1.7e308], [-1.7e308, -1e292]])
 def test_nonfinite_rows_act_as_fsum(R, bad):
-    # a lone row takes the fsum path; among 200 rows the certified one
+    # a lone row takes the fsum path; among 200 rows the certified one;
+    # then one or two long rows, the bad values in a later column chunk
     rng = np.random.default_rng(len(bad))
-    n = 12
-    x = rng.standard_normal((R, n))
+    x = rng.standard_normal((R, 12))
     x[R // 2, :len(bad)] = bad
+    _assert_acts_as_fsum(x)
+    x = rng.standard_normal((min(R, 2), 2 * _CHUNK + 12))
+    x[-1, _CHUNK + 5:_CHUNK + 5 + len(bad)] = bad
+    _assert_acts_as_fsum(x)
+
+
+def _assert_acts_as_fsum(x):
     expect = [_fsum_or_error(row) for row in x.tolist()]
     errors = [e for e in expect if isinstance(e, type)]
     if errors:
