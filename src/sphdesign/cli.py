@@ -47,10 +47,12 @@ def cmd_bounds(args):
 
 
 def cmd_gen(args):
-    # a missing directory is found before minutes of generation, not after
+    # a bad output path is found before minutes of generation, not after
     out_dir = os.path.dirname(args.output) or "."
     if not os.path.isdir(out_dir):
         raise SphDesignError("output directory %s does not exist" % out_dir)
+    if os.path.isdir(args.output):
+        raise SphDesignError("output %s is a directory" % args.output)
     opts = optimizer.SolveOptions(seed=args.seed, restarts=args.restarts)
     result = optimizer.generate_design(args.d, args.t, N=args.n,
                                        symmetric=args.symmetric, opts=opts)
@@ -93,6 +95,9 @@ def cmd_geom(args):
 
 def cmd_table(args):
     _check_range(args)
+    if not os.path.isdir(args.designs_dir):
+        raise SphDesignError("--designs-dir %s is not a directory"
+                             % args.designs_dir)
     # rows are written once all are built, so a bad design file leaves
     # no partial table on stdout
     out = ["t,N_star,N_plus,N,n,m,V_psi1,V_psi2,V_psi3,rTr,delta,h,rho\n"]

@@ -203,9 +203,10 @@ def variational_gradient(X, spec):
 def variational_value_and_param_gradient(p, spec):
     """V and its gradient w.r.t. the packed free angles of p.
 
-    One Gram matrix serves both; the bits equal variational_value and a
-    per-slot np.dot of param_jacobian_point rows with the Cartesian
-    gradient.
+    This is the L-BFGS-B objective.  One Gram matrix serves both; the
+    value has the bits of variational_value, and the gradient is the
+    angle recurrence of pointset._angle_gradient applied to the
+    Cartesian gradient of variational_gradient.
     """
     X, chain = _points_and_chain(p)
     coords, g = _expanded_gram(X, spec)

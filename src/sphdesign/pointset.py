@@ -188,6 +188,28 @@ def _sine_prefix(phi):
     return c, s, prefix
 
 
+def _angle_gradient(tables, g):
+    """Angle gradients of M points from their (M, d+1) Cartesian
+    gradients g: entry (m, i) is sum_k g[m, k] dx_k/dphi_i.
+
+    tables are the _sine_prefix tables of the M points, or of one point
+    shared by every row of g.  Differentiating x_k = prefix_k c_k
+    through the suffix sums U_i divides by no sine, so zero sines need
+    no special case:
+
+        U_d = g_d,  U_i = g_i c_i + s_i U_{i+1},
+        dV/dphi_i = prefix_i (c_i U_{i+1} - s_i g_i).
+    """
+    c, s, prefix = tables
+    d = s.shape[1]
+    out = np.empty((g.shape[0], d))
+    u = g[:, d]
+    for i in range(d - 1, -1, -1):
+        out[:, i] = prefix[:, i] * (c[:, i] * u - s[:, i] * g[:, i])
+        u = g[:, i] * c[:, i] + s[:, i] * u
+    return out
+
+
 def _point_to_angles(x, d):
     """Spherical angles of a unit vector; zero tails map to angle 0."""
     phi = np.empty(d)
@@ -212,9 +234,9 @@ def param_to_points(p):
 
 def _points_and_chain(p):
     """The PointSet of p, and the map from the Cartesian gradient of its
-    expanded points to the gradient w.r.t. p.values: per slot the np.dot
-    of its param_jacobian_point row with its point's gradient, bit for
-    bit.  One scatter and one sine table serve both."""
+    expanded points to the gradient w.r.t. p.values: the _angle_gradient
+    recurrence of each point, read at its free slots.  One scatter and
+    one sine table serve both."""
     d = p.d
     reps = p.N // 2 if p.symmetric else p.N
     rows, cols = _free_slots(d, reps)
@@ -233,10 +255,7 @@ def _points_and_chain(p):
     def chain(gcart):
         if p.symmetric:
             gcart = gcart[:reps] - gcart[reps:]
-        J = _slot_jacobian(tables, rows, cols)
-        # a stacked (1 x n) @ (n x 1) product is one ddot per slot, the
-        # same reduction as np.dot; einsum and row sums reassociate
-        return (J[:, None, :] @ gcart[rows][:, :, None]).ravel()
+        return _angle_gradient(tables, gcart)[rows, cols]
 
     return PointSet(d=d, coords=coords, symmetric=p.symmetric), chain
 
@@ -391,45 +410,16 @@ def read_pointset(path):
     return X
 
 
-def _slot_jacobian(tables, rows, cols):
-    """Derivatives dx_j/dphi_i of points w.r.t. single angles.
-
-    tables are the _sine_prefix tables of the angles of M points.  Row q
-    of the returned (S, d+1) array is the partial derivative of point
-    rows[q] with respect to its angle cols[q].  Entries are built with
-    the elementwise operations of the one-point formula, so every row is
-    bit for bit that of param_jacobian_point.
-    """
-    c, s, prefix = tables
-    d = s.shape[1]
-    P = prefix[rows]
-    si = s[rows, cols]
-    ci = c[rows, cols]
-    # coordinates k > i depend on phi_i through sin(phi_i), coordinate i
-    # through cos(phi_i), the coordinates k < i not at all; the padded
-    # column of c is 1.0, so the last coordinate gets no cosine factor
-    zero = si == 0.0
-    J = (P / np.where(zero, 1.0, si)[:, None]) * ci[:, None] * c[rows]
-    k = np.arange(d + 1)
-    J[k < cols[:, None]] = 0.0
-    slot = np.arange(rows.size)
-    J[slot, cols] = -P[slot, cols] * si
-    for q in np.flatnonzero(zero):
-        j, i = rows[q], cols[q]
-        for m in range(i + 1, d + 1):
-            J[q, m] = prefix[j, i] * np.prod(s[j, i + 1:m]) * ci[q] * c[j, m]
-    return J
-
-
 def param_jacobian_point(phi):
     """Derivatives dx/dphi_i of one point w.r.t. its angles.
 
     Returns a (d, d+1) array; row i is the partial derivative of the
-    point with respect to phi_i.
+    point with respect to phi_i.  Column k is the _angle_gradient of
+    coordinate k.
     """
     d = len(phi)
     tables = _sine_prefix(np.asarray(phi, dtype=float).reshape(1, d))
-    return _slot_jacobian(tables, np.zeros(d, dtype=int), np.arange(d))
+    return _angle_gradient(tables, np.eye(d + 1)).T
 
 
 def _s2_param_columns(d1, d2):

@@ -69,9 +69,11 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     if not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(
             "tolerance must be finite and >= 0, got %r" % (tolerance,))
-    v = criteria.variational_values(X, t_max)
     if X.d == 2:
+        # the residual refuses a degree above the harmonic cap before
+        # the N^2 pair sums are spent
         res = criteria.weyl_residual(X, t_max)
+        v = criteria.variational_values(X, t_max)
         scaled = np.abs(res.r) / X.N
         # rows run by ascending degree: the first failing row ends the
         # exact degrees
@@ -81,6 +83,7 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
         rtr = res.rtr
         is_design = max_abs <= tolerance
     else:
+        v = criteria.variational_values(X, t_max)
         exact = 0
         for tt in range(1, t_max + 1):
             vs = criteria.variational_values(X, tt)

@@ -239,6 +239,18 @@ class TestGen:
         assert captured.out == ""
         assert captured.err.startswith("error: output directory")
 
+    def test_output_directory_refused_before_generating(self, tmp_path,
+                                                        capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("generated before the output was checked")
+        monkeypatch.setattr(sphdesign.optimizer, "generate_design", fail)
+        code = main(["gen", "--t", "9", "-o", str(tmp_path)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("restarts", ["0", "-4"])
     def test_restarts_below_one_is_usage_error(self, tmp_path, capsys,
                                                restarts):
@@ -303,6 +315,16 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("name", ["missing", "file.txt"])
+    def test_designs_dir_not_a_directory(self, tmp_path, capsys, name):
+        (tmp_path / "file.txt").write_text("1 0 0\n")
+        assert main(["table", "--d", "2", "--t-min", "3", "--t-max", "5",
+                     "--designs-dir", str(tmp_path / name)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_usage_error(self, tmp_path):
         assert main(["table", "--d", "2", "--t-min", "3", "--t-max", "2",

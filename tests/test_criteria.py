@@ -17,11 +17,13 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 weyl_residual_reduced)
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
                               NotNormalizedError)
-from sphdesign.pointset import (ParamVector, PointSet, _free_slots, n_free,
-                                normalize_pointset, param_jacobian_point,
-                                param_to_points, points_to_param)
+from sphdesign.pointset import (ParamVector, PointSet, _free_slots,
+                                _points_and_chain, n_free,
+                                normalize_pointset, param_to_points,
+                                points_to_param)
 from sphdesign.specfun import dim_harmonic, legendre_norm, row_degrees
 from sphdesign.summation import comp_sum
+from test_pointset import _point_recurrence, _tables_as_floats
 
 
 def _random_set(d, N, seed=0, symmetric=False):
@@ -257,8 +259,8 @@ class TestGradients:
 
 
 def _value_and_param_gradient_loop(p, spec):
-    """Reference: two pair sums and a per-slot dot of point Jacobians,
-    the form the one-pass objective replaced."""
+    """Reference: two pair sums and, per slot, the scalar angle
+    recurrence of its point in Python floats."""
     X = param_to_points(p)
     v = variational_value(X, spec)
     gcart = variational_gradient(X, spec)
@@ -268,9 +270,10 @@ def _value_and_param_gradient_loop(p, spec):
     rows, cols = _free_slots(p.d, reps)
     phi = np.zeros((reps, p.d))
     phi[rows, cols] = p.values
-    grad = np.empty(rows.size)
-    for s, (j, i) in enumerate(zip(rows.tolist(), cols.tolist())):
-        grad[s] = np.dot(param_jacobian_point(phi[j])[i], gcart[j])
+    c, s = _tables_as_floats(phi)
+    g = gcart.tolist()
+    grad = np.array([_point_recurrence(c[j], s[j], g[j])[i]
+                     for j, i in zip(rows.tolist(), cols.tolist())])
     return v, grad
 
 
@@ -297,6 +300,38 @@ class TestParamGradientOnePass:
                 v_ref, g_ref = _value_and_param_gradient_loop(p, spec)
                 assert np.float64(v).tobytes() == np.float64(v_ref).tobytes()
                 assert g.tobytes() == g_ref.tobytes()
+
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_param_gradient_fd_at_zero_and_pi(self, d, symmetric):
+        # angles exactly 0 and pi give zero sines; the difference steps
+        # into the angle box, second order from one side
+        X = _random_set(d, 12, 3 + d, symmetric=symmetric)
+        p = points_to_param(normalize_pointset(X)[0])
+        rows, cols = _free_slots(d, p.N // 2 if symmetric else p.N)
+        values = p.values.copy()
+        free = np.flatnonzero(rows > d)
+        values[free[::3]] = 0.0
+        values[free[1::3]] = np.pi
+        p = ParamVector(d=d, N=p.N, symmetric=symmetric, values=values)
+        spec = make_psi(PSI3, d, 3)
+        v0, g = variational_value_and_param_gradient(p, spec)
+        # tangency: a radial Cartesian gradient moves no angle
+        X, chain = _points_and_chain(p)
+        assert np.allclose(chain(X.expanded()), 0.0, atol=1e-12)
+
+        def f(s, step):
+            v = values.copy()
+            v[s] += step
+            q = ParamVector(d=d, N=p.N, symmetric=symmetric, values=v)
+            return variational_value_and_param_gradient(q, spec)[0]
+
+        h = 1e-6
+        for s in range(values.size):
+            step = -h if values[s] == p.upper[s] else h
+            fd = (-3.0 * v0 + 4.0 * f(s, step)
+                  - f(s, 2.0 * step)) / (2.0 * step)
+            assert g[s] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
     @pytest.mark.parametrize("d", [3, 4])
     @pytest.mark.parametrize("symmetric", [False, True])

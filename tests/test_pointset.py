@@ -14,12 +14,12 @@ from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
                               InvalidParameterError, NotNormalizedError,
                               ParseError)
 from sphdesign.pointset import (ParamVector, PointSet, _angle_bounds,
-                                _free_slots, _moved, _s2_param_columns,
-                                _sine_prefix, _slot_jacobian, geodesic_dist,
-                                is_normalized, n_free, normalize_pointset,
-                                param_jacobian_point, param_to_points,
-                                points_to_param, read_pointset, surface_area,
-                                write_pointset)
+                                _free_slots, _moved, _points_and_chain,
+                                _s2_param_columns, _sine_prefix,
+                                geodesic_dist, is_normalized, n_free,
+                                normalize_pointset, param_jacobian_point,
+                                param_to_points, points_to_param,
+                                read_pointset, surface_area, write_pointset)
 
 
 def _random_sphere(d, N, seed=0):
@@ -32,6 +32,30 @@ def _angles_to_points(phi):
     """Points of the (M, d) spherical angles phi."""
     c, _, prefix = _sine_prefix(phi)
     return prefix * c
+
+
+def _point_recurrence(c, s, g):
+    """Angle gradient of one point from its Cartesian gradient g, in
+    Python floats: c holds the d cosines padded with 1.0, s the d sines.
+    U_i = g_i c_i + s_i U_{i+1} from U_d = g_d, and
+    dV/dphi_i = prefix_i (c_i U_{i+1} - s_i g_i)."""
+    d = len(s)
+    prefix = [1.0]
+    for i in range(d):
+        prefix.append(prefix[i] * s[i])
+    out = [0.0] * d
+    u = g[d]
+    for i in range(d - 1, -1, -1):
+        out[i] = prefix[i] * (c[i] * u - s[i] * g[i])
+        u = g[i] * c[i] + s[i] * u
+    return out
+
+
+def _tables_as_floats(phi):
+    """Padded cosines and sines of the (M, d) angles phi, as lists."""
+    c = np.ones((phi.shape[0], phi.shape[1] + 1))
+    c[:, :-1] = np.cos(phi)
+    return c.tolist(), np.sin(phi).tolist()
 
 
 class TestPointSet:
@@ -380,49 +404,66 @@ class TestParamJacobian:
         J = param_jacobian_point(phi)
         assert np.allclose(J @ x, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_finite_difference_at_zero_and_pi(self, d):
+        # zero sines: the rows a division by sin(phi_i) cannot give
+        rng = np.random.default_rng(16 + d)
+        h = 1e-7
+        for _ in range(10):
+            phi = rng.uniform(0.2, np.pi - 0.2, d)
+            pick = rng.random(d)
+            phi[pick < 0.4] = 0.0
+            phi[pick > 0.6] = np.pi
+            J = param_jacobian_point(phi)
+            x = _angles_to_points(phi[None])[0]
+            assert np.allclose(J @ x, 0.0, atol=1e-12)
+            for i in range(d):
+                e = np.zeros(d)
+                e[i] = h
+                fd = (_angles_to_points((phi + e)[None])[0]
+                      - _angles_to_points((phi - e)[None])[0]) / (2.0 * h)
+                assert np.allclose(J[i], fd, rtol=1e-6, atol=1e-6)
+
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
     def test_matches_scalar_loop(self, d):
-        # reference: the scalar double loop the vectorized form replaced,
-        # with angles at 0 and pi so the zero-sine fallback runs
-        def loop_jacobian(phi):
-            c, s = np.cos(phi), np.sin(phi)
-            prefix = np.empty(d + 1)
-            prefix[0] = 1.0
-            for i in range(d):
-                prefix[i + 1] = prefix[i] * s[i]
-            J = np.zeros((d, d + 1))
-            for i in range(d):
-                J[i, i] = -prefix[i] * s[i]
-                for j in range(i + 1, d + 1):
-                    tail = prefix[j] / s[i] if s[i] != 0.0 else (
-                        prefix[i] * np.prod(s[i + 1:j]))
-                    J[i, j] = tail * c[i] * (c[j] if j < d else 1.0)
-            return J
-
+        # reference: the recurrence per point in Python floats, applied
+        # to each coordinate; angles at 0 and pi give zero sines
         rng = np.random.default_rng(40 + d)
+        eye = np.eye(d + 1).tolist()
         for _ in range(60):
             phi = rng.uniform(0.0, np.pi, d)
             pick = rng.random(d)
             phi[pick < 0.2] = 0.0
             phi[pick > 0.8] = np.pi
-            assert param_jacobian_point(phi).tobytes() == \
-                loop_jacobian(phi).tobytes()
+            (c,), (s,) = _tables_as_floats(phi[None])
+            ref = np.array([_point_recurrence(c, s, e) for e in eye]).T
+            # exact values; the sign of a zero is not pinned
+            assert np.array_equal(param_jacobian_point(phi), ref)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("d,reps", [(2, 2), (2, 9), (3, 7), (4, 12),
                                         (5, 5)])
-    def test_slot_rows_match_point_jacobians(self, d, reps):
+    def test_chain_matches_point_recurrence(self, d, reps, symmetric):
         rng = np.random.default_rng(d * reps)
+        N = 2 * reps if symmetric else reps
+        lower, upper = _angle_bounds(d, reps)
+        values = rng.uniform(lower, upper)
+        # pin a few free angles at 0 (zero sine), pi and the upper bound
+        values[::4] = 0.0
+        values[1::5] = np.pi
+        values[2::7] = upper[2::7]
+        p = ParamVector(d=d, N=N, symmetric=symmetric, values=values)
+        _, chain = _points_and_chain(p)
+        gcart = rng.standard_normal((N, d + 1))
+        grad = chain(gcart)
+        folded = gcart[:reps] - gcart[reps:] if symmetric else gcart
         rows, cols = _free_slots(d, reps)
         phi = np.zeros((reps, d))
-        phi[rows, cols] = rng.uniform(0.0, np.pi, rows.size)
-        # pin a few free angles at 0 (zero sine) and at pi
-        phi[rows[::4], cols[::4]] = 0.0
-        phi[rows[1::5], cols[1::5]] = np.pi
-        J = _slot_jacobian(_sine_prefix(phi), rows, cols)
-        assert J.shape == (rows.size, d + 1)
-        ref = np.array([param_jacobian_point(phi[j])[i]
-                        for j, i in zip(rows, cols)])
-        assert J.tobytes() == ref.tobytes()
+        phi[rows, cols] = values
+        c, s = _tables_as_floats(phi)
+        ref = [_point_recurrence(c[j], s[j], folded[j].tolist())[i]
+               for j, i in zip(rows.tolist(), cols.tolist())]
+        assert grad.tobytes() == np.array(ref).tobytes()
 
 
 class TestPackedLayout:

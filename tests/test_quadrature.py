@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sphdesign import polytopes, specfun
+from sphdesign import criteria, polytopes, specfun
 from sphdesign.errors import InvalidParameterError
 from sphdesign.pointset import PointSet
 from sphdesign.quadrature import DEFAULT_TOL, integrate, verify_design
@@ -141,6 +141,15 @@ class TestVerify:
     def test_invalid_degree(self):
         with pytest.raises(InvalidParameterError):
             verify_design(polytopes.octahedron(), 0)
+
+    def test_degree_above_harmonic_cap_before_pair_sums(self, monkeypatch):
+        # the cap is checked before any O(N^2) variational value is spent
+        def fail(*args, **kwargs):
+            raise AssertionError("variational values before the cap check")
+        monkeypatch.setattr(criteria, "variational_values", fail)
+        X = _random_set(2, 40, 3)
+        with pytest.raises(InvalidParameterError, match="stability cap"):
+            verify_design(X, specfun.MAX_HARMONIC_DEGREE + 1)
 
     @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
     def test_invalid_tolerance(self, tol):
