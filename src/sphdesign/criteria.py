@@ -153,11 +153,11 @@ def _gram(coords):
     return g
 
 
-def _expanded_gram(X, spec):
-    """Expanded coordinates of X and their clipped Gram matrix."""
-    if X.d != spec.d:
+def _expanded_gram(d, coords, symmetric, spec):
+    """Coordinates on S^d, antipodes added if symmetric, and their Gram."""
+    if d != spec.d:
         raise InvalidDimensionError("point set and psi dimension differ")
-    coords = X.expanded()
+    coords = np.vstack([coords, -coords]) if symmetric else coords
     return coords, _gram(coords)
 
 
@@ -181,7 +181,7 @@ def variational_value(X, spec):
     The diagonal uses the analytic value psi(1) instead of evaluating
     the polynomial at a rounded inner product.
     """
-    _, g = _expanded_gram(X, spec)
+    _, g = _expanded_gram(X.d, X.coords, X.symmetric, spec)
     return _value_from_gram(g, spec)
 
 
@@ -196,20 +196,20 @@ def variational_gradient(X, spec):
     Returns an (N, d+1) array with row k equal to
     (2/N^2) sum_{i != k} psi'(x_i . x_k) x_i.
     """
-    coords, g = _expanded_gram(X, spec)
+    coords, g = _expanded_gram(X.d, X.coords, X.symmetric, spec)
     return _gradient_from_gram(g, coords, spec)
 
 
 def variational_value_and_param_gradient(p, spec):
     """V and its gradient w.r.t. the packed free angles of p.
 
-    This is the L-BFGS-B objective.  One Gram matrix serves both; the
-    value has the bits of variational_value, and the gradient is the
-    angle recurrence of pointset._angle_gradient applied to the
-    Cartesian gradient of variational_gradient.
+    This is the L-BFGS-B objective.  One Gram matrix, of the coordinates
+    the angles build (no PointSet), serves both: the value has the bits
+    of variational_value, and the gradient is pointset._angle_gradient
+    applied to the Cartesian gradient of variational_gradient.
     """
-    X, chain = _points_and_chain(p)
-    coords, g = _expanded_gram(X, spec)
+    coords, chain = _points_and_chain(p)
+    coords, g = _expanded_gram(p.d, coords, p.symmetric, spec)
     return (_value_from_gram(g, spec),
             chain(_gradient_from_gram(g, coords, spec)))
 

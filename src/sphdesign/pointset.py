@@ -169,7 +169,7 @@ class ParamVector:
 def _moved(p, values):
     """p with new angles, projected back into the angle box."""
     out = np.array(values)
-    azim = _free_slots(p.d, p.N // 2 if p.symmetric else p.N)[1] == p.d - 1
+    azim = p.upper == TWO_PI  # the azimuth slots
     out[azim] = np.mod(out[azim], TWO_PI)
     np.clip(out, p.lower, p.upper, out=out)
     return ParamVector(d=p.d, N=p.N, symmetric=p.symmetric, values=out)
@@ -228,36 +228,36 @@ def _point_to_angles(x, d):
 
 
 def param_to_points(p):
-    """Expand a ParamVector into its normalized PointSet."""
-    return _points_and_chain(p)[0]
+    """The PointSet of p: the one place packed angles become a PointSet."""
+    return PointSet(p.d, _points_and_chain(p)[0], p.symmetric)
 
 
 def _points_and_chain(p):
-    """The PointSet of p, and the map from the Cartesian gradient of its
-    expanded points to the gradient w.r.t. p.values: the _angle_gradient
-    recurrence of each point, read at its free slots.  One scatter and
-    one sine table serve both."""
+    """The (reps, d+1) coordinates of p, and the map from the Cartesian
+    gradient of its expanded points to the gradient w.r.t. p.values: the
+    _angle_gradient recurrence of each point, read at its free slots.
+    One scatter and one sine table serve both."""
     d = p.d
     reps = p.N // 2 if p.symmetric else p.N
+    if reps < 1:
+        raise InvalidPointError("need at least one point")
     rows, cols = _free_slots(d, reps)
     phi = np.zeros((reps, d))
     phi[rows, cols] = p.values
     tables = _sine_prefix(phi)
     c, _, prefix = tables
     coords = prefix * c
-    # the zero pattern makes trailing coordinates exactly zero
+    # in-box angles leave +0.0 (a product with sin(0)) in the trailing
+    # coordinates of the first d+1 rows, which are renormalized
     for j in range(min(reps, d + 1)):
-        coords[j, j + 1:] = 0.0
-        nrm = np.sqrt(coords[j].dot(coords[j]))  # np.linalg.norm, inlined
-        if nrm > 0:
-            coords[j] /= nrm
+        coords[j] /= np.sqrt(coords[j].dot(coords[j]))  # np.linalg.norm
 
     def chain(gcart):
         if p.symmetric:
             gcart = gcart[:reps] - gcart[reps:]
         return _angle_gradient(tables, gcart)[rows, cols]
 
-    return PointSet(d=d, coords=coords, symmetric=p.symmetric), chain
+    return coords, chain
 
 
 def points_to_param(X):

@@ -298,11 +298,6 @@ def _harmonic_tables(L, coords):
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise InvalidDimensionError("spherical harmonics here require d = 2")
-    if L < 0:
-        raise InvalidParameterError("degree must be >= 0, got %r" % (L,))
-    if L > MAX_HARMONIC_DEGREE:
-        raise InvalidParameterError(
-            "degree %d exceeds the stability cap %d" % (L, MAX_HARMONIC_DEGREE))
     x = np.clip(coords[:, 0], -1.0, 1.0)
     phi2 = np.arctan2(coords[:, 2], coords[:, 1])
     kphi = np.multiply.outer(np.arange(1, L + 1), phi2)
@@ -316,7 +311,13 @@ def _harmonic_tables(L, coords):
 @lru_cache(maxsize=None)
 def row_degrees(L):
     """Degree of each row of the harmonic basis up to degree L: degree
-    l fills its 2l+1 rows l^2 - 1 .. (l+1)^2 - 2 (read-only)."""
+    l fills its 2l+1 rows l^2 - 1 .. (l+1)^2 - 2 (read-only).  The basis
+    exists for 0 <= L <= MAX_HARMONIC_DEGREE; any other L is refused."""
+    if L < 0:
+        raise InvalidParameterError("degree must be >= 0, got %r" % (L,))
+    if L > MAX_HARMONIC_DEGREE:
+        raise InvalidParameterError(
+            "degree %d exceeds the stability cap %d" % (L, MAX_HARMONIC_DEGREE))
     l = np.arange(1, L + 1)
     deg, = _frozen(np.repeat(l, 2 * l + 1))
     return deg
@@ -362,8 +363,8 @@ def sph_harmonics_s2(L, coords):
     the zonal term, then cos(phi2)..cos(l phi2).  tables are the tables
     the values were built from, for reuse by sph_harmonics_s2_jacobian.
     """
+    lay = _basis_layout(L)  # refuses L before any table is built
     tables = _harmonic_tables(L, coords)
-    lay = _basis_layout(L)
     out = tables.q[lay.rows]
     out *= lay.coef
     out *= tables.trig[lay.trig_rows]

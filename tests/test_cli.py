@@ -227,6 +227,19 @@ class TestGen:
         assert captured.err.startswith("error: seed")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("flags", [[], ["--symmetric"]])
+    def test_degree_above_harmonic_cap_is_usage_error(self, tmp_path, capsys,
+                                                      flags):
+        out_file = tmp_path / "cap.txt"
+        code = main(["gen", "--d", "2", "--t", "2001", "-o", str(out_file)]
+                    + flags)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: degree 2001 exceeds the stability "
+                                "cap 2000\n")
+        assert not out_file.exists()
+
     def test_missing_output_directory_before_generating(self, tmp_path,
                                                         capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -16,7 +16,7 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 weyl_jacobian, weyl_residual,
                                 weyl_residual_reduced)
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
-                              NotNormalizedError)
+                              InvalidPointError, NotNormalizedError)
 from sphdesign.pointset import (ParamVector, PointSet, _free_slots,
                                 _points_and_chain, n_free,
                                 normalize_pointset, param_to_points,
@@ -317,8 +317,9 @@ class TestParamGradientOnePass:
         spec = make_psi(PSI3, d, 3)
         v0, g = variational_value_and_param_gradient(p, spec)
         # tangency: a radial Cartesian gradient moves no angle
-        X, chain = _points_and_chain(p)
-        assert np.allclose(chain(X.expanded()), 0.0, atol=1e-12)
+        _, chain = _points_and_chain(p)
+        assert np.allclose(chain(param_to_points(p).expanded()), 0.0,
+                           atol=1e-12)
 
         def f(s, step):
             v = values.copy()
@@ -359,6 +360,33 @@ class TestParamGradientOnePass:
                         values=np.zeros(n_free(3, 5)))
         with pytest.raises(InvalidDimensionError):
             variational_value_and_param_gradient(p, make_psi(PSI1, 2, 3))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_no_points_refused(self, symmetric):
+        p = ParamVector(d=3, N=0, symmetric=symmetric, values=np.zeros(0))
+        with pytest.raises(InvalidPointError, match="at least one point"):
+            variational_value_and_param_gradient(p, make_psi(PSI3, 3, 2))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_objective_builds_no_pointset(self, monkeypatch, symmetric):
+        # the objective reads the coordinates it builds; only
+        # param_to_points wraps them in a validated PointSet
+        N = 14 if symmetric else 7
+        p = ParamVector(d=3, N=N, symmetric=symmetric,
+                        values=np.full(n_free(3, N, symmetric), 0.7))
+        spec = make_psi(PSI3, 3, 2)
+        built = []
+        post_init = PointSet.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(PointSet, "__post_init__", counted)
+        variational_value_and_param_gradient(p, spec)
+        assert built == []
+        param_to_points(p)
+        assert len(built) == 1
 
 
 class TestWeylResidual:

@@ -9,11 +9,23 @@ from sphdesign.criteria import PSI2, PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
                                  _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
-                                 _pack, generate_design, initial_points,
-                                 minimize_variational, solve_lsq)
+                                 _pack, _spiral, generate_design,
+                                 initial_points, minimize_variational,
+                                 solve_lsq)
 from sphdesign.pointset import (ParamVector, TWO_PI, is_normalized,
                                 param_to_points)
 from sphdesign.quadrature import verify_design
+from sphdesign.specfun import MAX_HARMONIC_DEGREE
+
+
+def _fail(*args, **kwargs):
+    raise AssertionError("work begun before the degree was checked")
+
+
+def _refuse_start_work(monkeypatch):
+    """Make building or packing a start fail the test."""
+    monkeypatch.setattr(optimizer, "initial_points", _fail)
+    monkeypatch.setattr(optimizer, "normalize_pointset", _fail)
 
 
 class TestInitialPoints:
@@ -42,6 +54,19 @@ class TestInitialPoints:
         assert X.symmetric and X.N == 10
         with pytest.raises(InvalidParameterError):
             initial_points(2, 9, "symmetric_double")
+
+    @pytest.mark.parametrize("N", [2, 3, 4, 17, 100, 399, 1000, 20000])
+    def test_spiral_bitwise_equal_to_running_sum(self, N):
+        # reference: the per-point running sum of the azimuth steps
+        h = -1.0 + 2.0 * np.arange(N) / (N - 1.0)
+        phi = np.zeros(N)
+        for k in range(1, N - 1):
+            phi[k] = phi[k - 1] + 3.6 / np.sqrt(N * (1.0 - h[k] * h[k]))
+        phi %= TWO_PI
+        theta = np.arccos(np.clip(h, -1.0, 1.0))
+        coords = np.stack([np.cos(theta), np.sin(theta) * np.cos(phi),
+                           np.sin(theta) * np.sin(phi)], axis=1)
+        assert _spiral(N).coords.tobytes() == coords.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(InvalidParameterError):
@@ -115,6 +140,14 @@ class TestLsq:
         with pytest.raises(InvalidParameterError):
             solve_lsq(X0, t)
 
+    def test_degree_above_harmonic_cap_before_packing(self, monkeypatch):
+        X0 = initial_points(2, 6, "equal_area_spiral")
+        _refuse_start_work(monkeypatch)
+        with pytest.raises(InvalidParameterError,
+                           match="degree %d exceeds the stability cap %d"
+                           % (MAX_HARMONIC_DEGREE + 1, MAX_HARMONIC_DEGREE)):
+            solve_lsq(X0, MAX_HARMONIC_DEGREE + 1)
+
 
 class TestVariationalDescent:
     def test_d3_small(self):
@@ -181,6 +214,17 @@ class TestGenerate:
     def test_restarts_below_one(self, restarts):
         with pytest.raises(InvalidParameterError):
             generate_design(2, 2, opts=SolveOptions(restarts=restarts))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_degree_above_harmonic_cap_before_any_start(self, monkeypatch,
+                                                        symmetric):
+        # the cap is refused before N is chosen or a start is built
+        _refuse_start_work(monkeypatch)
+        monkeypatch.setattr(bounds_mod, "n_default", _fail)
+        with pytest.raises(InvalidParameterError,
+                           match="degree %d exceeds the stability cap %d"
+                           % (MAX_HARMONIC_DEGREE + 1, MAX_HARMONIC_DEGREE)):
+            generate_design(2, MAX_HARMONIC_DEGREE + 1, symmetric=symmetric)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_start_without_free_angles(self, symmetric):

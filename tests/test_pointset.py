@@ -232,6 +232,28 @@ class TestRoundTrip:
         assert X.symmetric == symmetric
         assert X.coords.tobytes() == coords.tobytes()
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_pinned_coordinates_are_positive_zero(self, d, symmetric):
+        # the unset angles of the first d+1 points are 0, so their
+        # trailing coordinates hold a factor sin(0) and are exactly +0.0
+        rng = np.random.default_rng(70 + d)
+        for reps in (1, 2, d, d + 1, d + 4):
+            N = 2 * reps if symmetric else reps
+            lower, upper = _angle_bounds(d, reps)
+            mixed = rng.uniform(lower, upper)
+            pick = rng.random(mixed.size)
+            mixed[pick < 0.3] = 0.0
+            mixed[(pick >= 0.3) & (pick < 0.6)] = np.pi
+            mixed[pick > 0.8] = upper[pick > 0.8]
+            for values in (rng.uniform(lower, upper), mixed, lower, upper):
+                X = param_to_points(ParamVector(d=d, N=N, symmetric=symmetric,
+                                                values=values))
+                for j in range(min(reps, d + 1)):
+                    tail = X.coords[j, j + 1:]
+                    assert np.all(tail == 0.0)
+                    assert not np.any(np.signbit(tail))
+
     def test_default_bounds_are_read_only(self):
         p = ParamVector(d=2, N=6, symmetric=False, values=np.zeros(9))
         q = ParamVector(d=2, N=6, symmetric=False, values=np.ones(9))
