@@ -33,7 +33,3 @@ class ParseError(SphDesignError, ValueError):
 
 class UndefinedMetricError(SphDesignError, ValueError):
     """A geometric quantity is undefined for this input (e.g. N < 2)."""
-
-
-class InfiniteEnergyError(SphDesignError, ValueError):
-    """Energy sum diverges because of coincident points."""

@@ -1,5 +1,4 @@
-"""Geometric quality metrics: separation, mesh norm, mesh ratio,
-inner-product multiset, and Riesz energy.
+"""Geometric quality metrics: separation, mesh norm and mesh ratio.
 
 The mesh norm (covering radius) h is the largest geodesic distance from
 a point of the sphere to its nearest design point, the maximum of the
@@ -24,9 +23,7 @@ from scipy.optimize import nnls
 from scipy.spatial import ConvexHull, QhullError
 
 from .criteria import _gram
-from .errors import (InfiniteEnergyError, InvalidParameterError,
-                     UndefinedMetricError)
-from .summation import comp_sum
+from .errors import InvalidParameterError, UndefinedMetricError
 
 # Distances below this count as zero: of the origin from the hull, and
 # of the points from a hyperplane through the origin.  Either way h is
@@ -40,20 +37,13 @@ _FLAT_TOL = 1e-12
 _REPEATED_ROW_DELTA = 1e-5
 
 
-def _pair_products(X, too_few):
-    """Clipped inner products x_i . x_j, i < j, of the expanded points,
-    in the row-major order of the upper triangle; fewer than two points
-    raise UndefinedMetricError with the message too_few."""
+def separation(X):
+    """Minimum geodesic distance over all point pairs."""
     coords = X.expanded()
     N = coords.shape[0]
     if N < 2:
-        raise UndefinedMetricError(too_few)
-    return _gram(coords)[np.triu_indices(N, k=1)]
-
-
-def separation(X):
-    """Minimum geodesic distance over all point pairs."""
-    g = _pair_products(X, "separation needs at least two points")
+        raise UndefinedMetricError("separation needs at least two points")
+    g = _gram(coords)[np.triu_indices(N, k=1)]
     return float(np.arccos(np.max(g)))
 
 
@@ -151,56 +141,3 @@ def mesh_ratio(X, accuracy=1e-6):
     h = mesh_norm(X)
     return GeometryReport(delta=delta, h=h, rho=2.0 * h / delta,
                           h_accuracy=0.0)
-
-
-@dataclass(frozen=True)
-class InnerProductSet:
-    """Sorted multiset of pairwise inner products, optionally merged
-    within a dedup tolerance (multiplicities retained)."""
-    values: np.ndarray
-    counts: np.ndarray
-    dedup: float
-
-    def same_as(self, other, tol=1e-8):
-        """Multiset equality within tol, the configuration equivalence
-        test (inner products determine a set up to rotation)."""
-        a = np.repeat(self.values, self.counts)
-        b = np.repeat(other.values, other.counts)
-        if a.size != b.size:
-            return False
-        return bool(np.all(np.abs(a - b) <= tol))
-
-
-def inner_product_set(X, dedup=1e-9):
-    """All inner products x_i . x_j, i < j, sorted ascending; products
-    within dedup of each other merge, none when dedup <= 0."""
-    if np.isnan(dedup):
-        raise InvalidParameterError("dedup must not be NaN")
-    vals = np.sort(_pair_products(X, "inner products need at least two "
-                                     "points"))
-    if dedup <= 0:
-        return InnerProductSet(values=vals, counts=np.ones(vals.size, dtype=int),
-                               dedup=dedup)
-    merged = [vals[0]]
-    counts = [1]
-    for v in vals[1:]:
-        if v - merged[-1] <= dedup:
-            # running mean keeps merged clusters centred
-            merged[-1] += (v - merged[-1]) / (counts[-1] + 1)
-            counts[-1] += 1
-        else:
-            merged.append(v)
-            counts.append(1)
-    return InnerProductSet(values=np.array(merged),
-                           counts=np.array(counts, dtype=int), dedup=dedup)
-
-
-def riesz_energy(X, s):
-    """Riesz energy sum_{i<j} |x_i - x_j|^(-s), correctly rounded."""
-    if not (np.isfinite(s) and s > 0):
-        raise InvalidParameterError(
-            "the energy exponent must be finite and positive, got %r" % (s,))
-    d2 = 2.0 - 2.0 * _pair_products(X, "energy needs at least two points")
-    if np.any(d2 <= 0.0):
-        raise InfiniteEnergyError("coincident points give infinite energy")
-    return comp_sum(d2 ** (-0.5 * s))

@@ -30,7 +30,7 @@ _LM_NU0 = 1e-2
 _LM_NU_UP = 10.0
 _LM_NU_DOWN = 0.3
 _LM_MAX_ITERATIONS = 400     # LM iterations per solve
-_GRAD_MAX_ITERATIONS = 4000  # quasi-Newton iterations per sweep
+_GRAD_MAX_ITERATIONS = 4000  # quasi-Newton iterations per solve
 _GRADIENT_TOLERANCE = 1e-13
 _V_TOL = 5e-15               # relative to psi(1)
 _HOP_SIGMAS = (0.02, 0.05, 0.12)
@@ -179,26 +179,13 @@ def minimize_variational(X0, spec):
         return criteria.variational_value_and_param_gradient(
             _moved(p0, values), spec)
 
-    def sweep(x0):
-        return minimize(fun, x0, jac=True, method="L-BFGS-B",
-                        bounds=list(zip(p0.lower, p0.upper)),
-                        options={"maxiter": _GRAD_MAX_ITERATIONS,
-                                 "maxfun": 4 * _GRAD_MAX_ITERATIONS,
-                                 "ftol": 1e-18, "gtol": _GRADIENT_TOLERANCE})
-
-    res = sweep(p0.values)
-    best = res.x
-    its = int(res.nit)
-    # a second sweep from where the first stopped.  Measured on S^3 at
-    # t = 2..6, it mostly ends at the first sweep's V: 1 of 106 turned a
-    # start into a converged one, 2 of 56 ended below a tenth of the
-    # first V.  gen_s3 spends 1.8% of its time here
-    if res.fun > _V_TOL * spec.psi_at_1:
-        res2 = sweep(res.x)
-        if res2.fun <= res.fun:
-            best = res2.x
-        its += int(res2.nit)
-    return _make_result(param_to_points(_moved(p0, best)), spec.t, its)
+    res = minimize(fun, p0.values, jac=True, method="L-BFGS-B",
+                   bounds=list(zip(p0.lower, p0.upper)),
+                   options={"maxiter": _GRAD_MAX_ITERATIONS,
+                            "maxfun": 4 * _GRAD_MAX_ITERATIONS,
+                            "ftol": 1e-18, "gtol": _GRADIENT_TOLERANCE})
+    return _make_result(param_to_points(_moved(p0, res.x)), spec.t,
+                        int(res.nit))
 
 
 def _lsq_residual(p, t):

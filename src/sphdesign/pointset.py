@@ -88,25 +88,6 @@ class PointSet:
         return PointSet(d=self.d, coords=self.expanded(), symmetric=False)
 
 
-def surface_area(d):
-    """Surface area of the unit sphere S^d in R^{d+1}."""
-    from math import pi, lgamma, exp
-    if d < 1:
-        raise InvalidDimensionError("d must be >= 1, got %r" % (d,))
-    return 2.0 * pi ** ((d + 1) / 2.0) * exp(-lgamma((d + 1) / 2.0))
-
-
-def geodesic_dist(x, y):
-    """Great-circle distance between two unit vectors, in radians."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    for v in (x, y):
-        # written so that NaN and Inf norms fail it too
-        if not abs(np.linalg.norm(v) - 1.0) <= UNIT_TOL:
-            raise InvalidPointError("geodesic_dist requires unit vectors")
-    return float(np.arccos(np.clip(np.dot(x, y), -1.0, 1.0)))
-
-
 def n_free(d, N, symmetric=False):
     """Number of free angles of a normalized configuration."""
     if symmetric:

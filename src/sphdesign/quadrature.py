@@ -13,19 +13,8 @@ import numpy as np
 
 from . import criteria, specfun
 from .errors import InvalidParameterError
-from .summation import comp_sum
 
 DEFAULT_TOL = 1e-12
-
-
-def integrate(X, f):
-    """Equal-weight rule (1/N) sum_j f(x_j), correctly rounded summation.
-
-    f maps one unit vector (length d+1 array) to a float.
-    """
-    coords = X.expanded()
-    vals = np.array([f(x) for x in coords], dtype=float)
-    return comp_sum(vals) / coords.shape[0]
 
 
 @dataclass

@@ -126,14 +126,6 @@ def jacobi_deriv(alpha, beta, n, z):
         alpha + 1.0, beta + 1.0, n - 1, z)
 
 
-def legendre_norm(d, ell, z):
-    """Normalized Legendre polynomial P_ell^(d+1), equal to 1 at z = 1."""
-    if d < 2:
-        raise InvalidDimensionError("normalized Legendre needs d >= 2")
-    alpha = 0.5 * (d - 2.0)
-    return jacobi_eval(alpha, alpha, ell, z) / jacobi_at_one(alpha, ell)
-
-
 def legendre_norm_batch(d, L, z):
     """P_ell^(d+1)(z) for all ell = 0..L at once."""
     if d < 2:

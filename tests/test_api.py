@@ -11,7 +11,6 @@ SIGNATURES = {
     "DesignReport": ("t_claimed", "max_abs_weyl", "V1", "V2", "V3", "rTr",
                      "is_design", "exactness_degree"),
     "GeometryReport": ("delta", "h", "rho", "h_accuracy"),
-    "InnerProductSet": ("values", "counts", "dedup"),
     "ParamVector": ("d", "N", "symmetric", "values"),
     "PointSet": ("d", "coords", "symmetric"),
     "PsiSpec": ("kind", "d", "t", "a0", "psi_at_1"),
@@ -24,16 +23,12 @@ SIGNATURES = {
     "dim_poly": ("d", "t"),
     "efficiency": ("d", "t", "N"),
     "generate_design": ("d", "t", "N", "symmetric", "opts"),
-    "geodesic_dist": ("x", "y"),
     "initial_points": ("d", "N", "kind", "seed"),
-    "inner_product_set": ("X", "dedup"),
-    "integrate": ("X", "f"),
     "jacobi_at_one": ("alpha", "ell"),
     "jacobi_batch": ("alpha", "beta", "L", "z"),
     "jacobi_deriv": ("alpha", "beta", "n", "z"),
     "jacobi_eval": ("alpha", "beta", "n", "z"),
     "jacobi_largest_zero": ("alpha", "beta", "n"),
-    "legendre_norm": ("d", "ell", "z"),
     "make_psi": ("kind", "d", "t"),
     "mesh_norm": ("X",),
     "mesh_ratio": ("X", "accuracy"),
@@ -49,13 +44,11 @@ SIGNATURES = {
     "psi_deriv": ("spec", "z"),
     "psi_eval": ("spec", "z"),
     "read_pointset": ("path",),
-    "riesz_energy": ("X", "s"),
     "row_degrees": ("L",),
     "separation": ("X",),
     "solve_lsq": ("X0", "t"),
     "sph_harmonics_s2": ("L", "coords"),
     "sph_harmonics_s2_jacobian": ("tables",),
-    "surface_area": ("d",),
     "variational_gradient": ("X", "spec"),
     "variational_value": ("X", "spec"),
     "verify_design": ("X", "t_max", "tolerance"),

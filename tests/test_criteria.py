@@ -21,7 +21,7 @@ from sphdesign.pointset import (ParamVector, PointSet, _free_slots,
                                 _points_and_chain, n_free,
                                 normalize_pointset, param_to_points,
                                 points_to_param)
-from sphdesign.specfun import dim_harmonic, legendre_norm, row_degrees
+from sphdesign.specfun import dim_harmonic, row_degrees
 from sphdesign.summation import comp_sum
 from test_pointset import _point_recurrence, _tables_as_floats
 

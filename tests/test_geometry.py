@@ -1,6 +1,5 @@
-"""Geometric metrics: exact polytope values, the closed-form mesh norm
-against sampling and recorded values, inner-product multisets, and
-Riesz energies."""
+"""Geometric metrics: exact polytope values, and the closed-form mesh
+norm against sampling and recorded values."""
 
 import math
 
@@ -8,10 +7,9 @@ import numpy as np
 import pytest
 
 from sphdesign import geometry, polytopes
-from sphdesign.errors import (InfiniteEnergyError, InvalidParameterError,
-                              UndefinedMetricError)
-from sphdesign.geometry import (GeometryReport, inner_product_set, mesh_norm,
-                                mesh_ratio, riesz_energy, separation)
+from sphdesign.errors import InvalidParameterError, UndefinedMetricError
+from sphdesign.geometry import (GeometryReport, mesh_norm, mesh_ratio,
+                                separation)
 from sphdesign.pointset import PointSet
 
 
@@ -223,68 +221,3 @@ class TestMeshRatio:
         monkeypatch.setattr(geometry, "mesh_norm", lambda X: 0.5)
         rep = mesh_ratio(polytopes.octahedron())
         assert rep.h == 0.5 and rep.h_accuracy == 0.0
-
-
-class TestInnerProductSet:
-    def test_octahedron_multiset(self):
-        ips = inner_product_set(polytopes.octahedron())
-        assert np.allclose(ips.values, [-1.0, 0.0])
-        assert list(ips.counts) == [3, 12]
-
-    def test_rotation_equivalence(self):
-        rng = np.random.default_rng(9)
-        X = _random_set(2, 10, 2)
-        Q = np.linalg.qr(rng.standard_normal((3, 3)))[0]
-        Y = PointSet(d=2, coords=X.coords @ Q.T)
-        assert inner_product_set(X).same_as(inner_product_set(Y))
-
-    def test_different_sets_differ(self):
-        assert not inner_product_set(_random_set(2, 10, 1)).same_as(
-            inner_product_set(_random_set(2, 10, 2)))
-        assert not inner_product_set(_random_set(2, 10, 1)).same_as(
-            inner_product_set(_random_set(2, 11, 1)))
-
-    def test_no_dedup(self):
-        X = _random_set(2, 6, 4)
-        ips = inner_product_set(X, dedup=0.0)
-        assert ips.values.size == 15
-        assert np.all(np.diff(ips.values) >= 0.0)
-
-    def test_nan_dedup(self):
-        with pytest.raises(InvalidParameterError):
-            inner_product_set(polytopes.octahedron(), dedup=float("nan"))
-
-
-class TestRieszEnergy:
-    def test_brute_force(self):
-        X = _random_set(2, 9, 6)
-        s = 2.0
-        total = 0.0
-        for i in range(9):
-            for j in range(i + 1, 9):
-                total += np.linalg.norm(X.coords[i] - X.coords[j]) ** (-s)
-        assert riesz_energy(X, s) == pytest.approx(total, rel=1e-12)
-
-    def test_known_two_points(self):
-        X = polytopes.antipodal_pair()
-        assert riesz_energy(X, 1.0) == pytest.approx(0.5, rel=1e-14)
-
-    def test_coincident_points_infinite(self):
-        coords = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        with pytest.raises(InfiniteEnergyError):
-            riesz_energy(PointSet(d=2, coords=coords), 1.0)
-
-    def test_invalid_exponent(self):
-        with pytest.raises(InvalidParameterError):
-            riesz_energy(_random_set(2, 4), -1.0)
-
-    @pytest.mark.parametrize("s", [float("nan"), float("inf")])
-    def test_non_finite_exponent(self, s):
-        with pytest.raises(InvalidParameterError):
-            riesz_energy(polytopes.icosahedron(), s)
-
-    def test_minimizer_beats_random(self):
-        # the icosahedron has lower energy than any random 12-point set
-        e_ico = riesz_energy(polytopes.icosahedron(), 1.0)
-        for seed in range(5):
-            assert e_ico < riesz_energy(_random_set(2, 12, seed), 1.0)

@@ -161,6 +161,20 @@ class TestVariationalDescent:
         res = minimize_variational(X0, make_psi(PSI2, 2, 3))
         assert abs(res.v2) < 1e-13
 
+    @pytest.mark.parametrize("d, t, kind", [(3, 2, PSI3), (3, 3, PSI3),
+                                            (3, 4, PSI3), (2, 3, PSI2),
+                                            (2, 4, PSI2), (2, 5, PSI2)])
+    def test_returned_value_never_above_the_start(self, d, t, kind):
+        # accepted iterates never increase V, so neither does the solve,
+        # converged or not (d=3, t=4, seed 2 stalls at V ~ 2e-5)
+        spec = make_psi(kind, d, t)
+        N = bounds_mod.n_hat(d, t) if d > 2 else bounds_mod.n_default(2, t)
+        for seed in range(4):
+            X0 = initial_points(d, N, "random_uniform", seed=seed)
+            start = variational_value(param_to_points(_pack(X0)), spec)
+            res = minimize_variational(X0, spec)
+            assert variational_value(res.pointset, spec) <= start
+
     def test_dimension_mismatch(self):
         X0 = initial_points(2, 9, "random_uniform")
         with pytest.raises(InvalidDimensionError):

@@ -1,6 +1,5 @@
 """Point-set representation, normalization, packing, and file I/O."""
 
-import math
 import os
 import tempfile
 import warnings
@@ -16,10 +15,10 @@ from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
 from sphdesign.pointset import (ParamVector, PointSet, _angle_bounds,
                                 _free_slots, _moved, _points_and_chain,
                                 _s2_param_columns, _sine_prefix,
-                                geodesic_dist, is_normalized, n_free,
-                                normalize_pointset, param_jacobian_point,
-                                param_to_points, points_to_param,
-                                read_pointset, surface_area, write_pointset)
+                                is_normalized, n_free, normalize_pointset,
+                                param_jacobian_point, param_to_points,
+                                points_to_param, read_pointset,
+                                write_pointset)
 
 
 def _random_sphere(d, N, seed=0):
@@ -106,26 +105,6 @@ class TestPointSet:
 
 
 class TestBasics:
-    def test_surface_area(self):
-        assert surface_area(1) == pytest.approx(2.0 * math.pi)
-        assert surface_area(2) == pytest.approx(4.0 * math.pi)
-        assert surface_area(3) == pytest.approx(2.0 * math.pi ** 2)
-
-    def test_geodesic(self):
-        assert geodesic_dist([1.0, 0.0], [0.0, 1.0]) == pytest.approx(
-            math.pi / 2.0)
-        assert geodesic_dist([1.0, 0.0], [-1.0, 0.0]) == pytest.approx(math.pi)
-        with pytest.raises(InvalidPointError):
-            geodesic_dist([2.0, 0.0], [1.0, 0.0])
-
-    @pytest.mark.parametrize("bad", [[np.nan, 0.0], [np.inf, 0.0],
-                                     [0.0, -np.inf]])
-    def test_geodesic_dist_rejects_non_finite(self, bad):
-        with pytest.raises(InvalidPointError):
-            geodesic_dist(bad, [1.0, 0.0])
-        with pytest.raises(InvalidPointError):
-            geodesic_dist([1.0, 0.0], bad)
-
     def test_n_free(self):
         # below d+1 points: triangular count; above: d per point minus
         # the pinned rotation

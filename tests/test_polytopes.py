@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from sphdesign import polytopes
-from sphdesign.geometry import inner_product_set
 from sphdesign.quadrature import verify_design
 
 
@@ -62,28 +61,32 @@ def test_vertex_transitive_inner_products():
         assert np.allclose(np.sort(g[i]), ref, atol=1e-12)
 
 
+def _pair_products(X):
+    """Inner products x_i . x_j, i < j, of the expanded points."""
+    c = X.expanded()
+    return (c @ c.T)[np.triu_indices(c.shape[0], k=1)]
+
+
 def test_simplex_inner_products():
-    # regular simplex on S^3: all off-diagonal products equal -1/4
-    ips = inner_product_set(polytopes.simplex(3))
-    assert ips.values.size == 1
-    assert ips.values[0] == pytest.approx(-0.25, abs=1e-12)
-    assert ips.counts[0] == 10
+    # regular simplex on S^3: all 10 off-diagonal products equal -1/4
+    g = _pair_products(polytopes.simplex(3))
+    assert g.size == 10
+    assert np.all(np.abs(g + 0.25) <= 1e-12)
 
 
 def test_icosahedron_separation_angle():
     # neighbouring vertices subtend arccos(1/sqrt(5))
-    ips = inner_product_set(polytopes.icosahedron())
-    assert np.max(ips.values) == pytest.approx(1.0 / math.sqrt(5.0),
-                                               abs=1e-12)
+    g = _pair_products(polytopes.icosahedron())
+    assert np.max(g) == pytest.approx(1.0 / math.sqrt(5.0), abs=1e-12)
 
 
 def test_cell600_contains_cell24_structure():
     # inner products of the 600-cell take the golden-ratio family values
-    ips = inner_product_set(polytopes.cell600())
+    g = _pair_products(polytopes.cell600())
     phi = (1.0 + math.sqrt(5.0)) / 2.0
     expect = {-1.0, -phi / 2.0, -0.5, -1.0 / (2.0 * phi), 0.0,
               1.0 / (2.0 * phi), 0.5, phi / 2.0}
-    got = set(np.round(ips.values, 9))
+    got = set(np.round(g, 9))
     assert got == set(np.round(sorted(expect), 9))
 
 

@@ -8,7 +8,7 @@ import pytest
 from sphdesign import criteria, polytopes, specfun
 from sphdesign.errors import InvalidParameterError
 from sphdesign.pointset import PointSet
-from sphdesign.quadrature import DEFAULT_TOL, integrate, verify_design
+from sphdesign.quadrature import DEFAULT_TOL, verify_design
 from sphdesign.summation import comp_sum
 
 
@@ -35,25 +35,20 @@ def _degree_max_weyl_s2(X, t_max):
 
 
 class TestIntegrate:
-    def test_constant(self):
-        X = _random_set(2, 17, 1)
-        assert integrate(X, lambda x: 3.0) == pytest.approx(3.0, rel=1e-15)
+    """The equal-weight rule (1/N) sum_j f(x_j) of a design."""
 
     def test_design_integrates_polynomial_exactly(self):
         # degree-5 polynomial against the icosahedron; the sphere
         # average of x0^2 is 1/3 and of x0^4 is 1/5
-        X = polytopes.icosahedron()
-
-        def f(x):
-            return 7.0 * x[0] ** 4 - 2.0 * x[1] ** 2 + x[2] ** 5 + 0.25
-
+        x = polytopes.icosahedron().expanded()
+        f = 7.0 * x[:, 0] ** 4 - 2.0 * x[:, 1] ** 2 + x[:, 2] ** 5 + 0.25
         expect = 7.0 / 5.0 - 2.0 / 3.0 + 0.25
-        assert integrate(X, f) == pytest.approx(expect, abs=1e-14)
+        assert comp_sum(f) / x.shape[0] == pytest.approx(expect, abs=1e-14)
 
     def test_odd_function_on_symmetric_set(self):
-        X = polytopes.cell24()
-        assert integrate(X, lambda x: x[0] ** 3 + x[3]) == pytest.approx(
-            0.0, abs=1e-15)
+        x = polytopes.cell24().expanded()
+        f = x[:, 0] ** 3 + x[:, 3]
+        assert comp_sum(f) / x.shape[0] == pytest.approx(0.0, abs=1e-15)
 
 
 class TestVerify:

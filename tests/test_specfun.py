@@ -10,9 +10,9 @@ from scipy.special import eval_jacobi, roots_jacobi
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.specfun import (dim_harmonic, dim_poly, jacobi_at_one,
                                jacobi_batch, jacobi_deriv, jacobi_eval,
-                               jacobi_largest_zero, legendre_norm,
-                               legendre_norm_batch, row_degrees,
-                               sph_harmonics_s2, sph_harmonics_s2_jacobian)
+                               jacobi_largest_zero, legendre_norm_batch,
+                               row_degrees, sph_harmonics_s2,
+                               sph_harmonics_s2_jacobian)
 
 
 def _monomial_count(d, t):
@@ -97,23 +97,17 @@ class TestJacobi:
 class TestLegendreNorm:
     def test_is_one_at_one(self):
         for d in (2, 3, 4, 7):
+            vals = legendre_norm_batch(d, 24, 1.0)
             for ell in range(0, 25):
-                assert legendre_norm(d, ell, 1.0) == pytest.approx(1.0,
-                                                                   abs=1e-12)
-
-    def test_batch_consistent(self):
-        z = np.linspace(-1.0, 1.0, 17)
-        vals = legendre_norm_batch(3, 10, z)
-        for ell in range(11):
-            assert np.allclose(vals[ell], legendre_norm(3, ell, z),
-                               rtol=1e-13, atol=1e-13)
+                assert vals[ell] == pytest.approx(1.0, abs=1e-12)
 
     def test_d2_is_classical_legendre(self):
         from scipy.special import eval_legendre
         z = np.linspace(-1.0, 1.0, 17)
+        vals = legendre_norm_batch(2, 14, z)
         for ell in range(0, 15):
-            assert np.allclose(legendre_norm(2, ell, z),
-                               eval_legendre(ell, z), rtol=1e-12, atol=1e-12)
+            assert np.allclose(vals[ell], eval_legendre(ell, z), rtol=1e-12,
+                               atol=1e-12)
 
     def test_orthogonality_weighted(self):
         # integral over [-1,1] with weight (1-z^2)^((d-2)/2) vanishes
@@ -121,9 +115,11 @@ class TestLegendreNorm:
         d = 3
         w = 0.5 * (d - 2.0)
         for la, lb in [(0, 1), (1, 2), (2, 5), (3, 4)]:
-            val, _ = quad(lambda z: legendre_norm(d, la, z)
-                          * legendre_norm(d, lb, z) * (1 - z * z) ** w,
-                          -1.0, 1.0)
+            def f(z):
+                P = legendre_norm_batch(d, lb, z)
+                return P[la] * P[lb] * (1 - z * z) ** w
+
+            val, _ = quad(f, -1.0, 1.0)
             assert abs(val) < 1e-12
 
 
@@ -255,11 +251,12 @@ class TestHarmonics:
         L = 25
         Y, _ = sph_harmonics_s2(L, coords)
         g = np.clip(coords @ coords.T, -1.0, 1.0)
+        P = legendre_norm_batch(2, L, g)
         row = 0
         for l in range(1, L + 1):
             block = Y[row:row + 2 * l + 1]
             lhs = block.T @ block
-            rhs = (2.0 * l + 1.0) * legendre_norm(2, l, g)
+            rhs = (2.0 * l + 1.0) * P[l]
             assert np.allclose(lhs, rhs, rtol=0, atol=1e-10)
             row += 2 * l + 1
 
