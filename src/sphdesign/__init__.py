@@ -9,8 +9,7 @@ from .specfun import (dim_harmonic, dim_poly, jacobi_eval, jacobi_deriv,
                       jacobi_batch, jacobi_at_one, sph_harmonics_s2,
                       sph_harmonics_s2_jacobian, row_degrees,
                       jacobi_largest_zero)
-from .criteria import (PsiSpec, make_psi, psi_eval, psi_deriv,
-                       variational_value, variational_gradient,
+from .criteria import (PsiSpec, make_psi, psi_eval, variational_value,
                        weyl_residual, weyl_jacobian, WeylResidual,
                        PSI1, PSI2, PSI3)
 from .bounds import (n_star, n_plus, n_hat, n_bar, efficiency, BoundsRow,

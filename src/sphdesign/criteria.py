@@ -6,9 +6,9 @@ A configuration is a t-design exactly when the quadratic form
 
 vanishes, where psi is a zonal polynomial with strictly positive
 Legendre coefficients a_ell for 1 <= ell <= t and zero mean.  Three
-standard choices are provided.  On S^2 V_psi3 equals a0 r^T r / N^2
-over the Weyl sums r, so the sums, their constant weight a0 and their
-Jacobian serve Levenberg-Marquardt iterations.
+standard choices are provided; generation descends on psi_3 alone.  On
+S^2 V_psi3 = a0 r^T r / N^2 over the Weyl sums r, whose constant weight
+a0 and Jacobian serve Levenberg-Marquardt iterations.
 """
 
 from dataclasses import dataclass, field
@@ -113,20 +113,6 @@ def psi_eval(spec, z):
     return specfun.jacobi_eval(spec.alpha + 1.0, spec.alpha, t, z) - spec.a0
 
 
-def psi_deriv(spec, z):
-    """d psi / dz, analytic."""
-    z = np.asarray(z, dtype=float)
-    t = spec.t
-    if spec.kind == PSI1:
-        out = t * _power(z, t - 1)
-        if t >= 2:
-            out = out + (t - 1) * _power(z, t - 2)
-        return out
-    if spec.kind == PSI2:
-        return 0.5 * t * (0.5 * (1.0 + z)) ** (t - 1)
-    return specfun.jacobi_deriv(spec.alpha + 1.0, spec.alpha, t, z)
-
-
 def psi_coefficients(spec):
     """Legendre coefficients a_ell, ell = 0..t, of psi + a0.
 
@@ -153,10 +139,8 @@ def _gram(coords):
     return g
 
 
-def _expanded_gram(d, coords, symmetric, spec):
+def _expanded_gram(coords, symmetric):
     """Coordinates on S^d, antipodes added if symmetric, and their Gram."""
-    if d != spec.d:
-        raise InvalidDimensionError("point set and psi dimension differ")
     coords = np.vstack([coords, -coords]) if symmetric else coords
     return coords, _gram(coords)
 
@@ -168,20 +152,15 @@ def _value_from_gram(g, spec):
     return comp_sum(vals) / (N * N)
 
 
-def _gradient_from_gram(g, coords, spec):
-    w = psi_deriv(spec, g)
-    np.fill_diagonal(w, 0.0)
-    N = g.shape[0]
-    return (2.0 / (N * N)) * (w @ coords)
-
-
 def variational_value(X, spec):
     """V = (1/N^2) sum_{i,j} psi(x_i . x_j), correctly rounded summation.
 
     The diagonal uses the analytic value psi(1) instead of evaluating
     the polynomial at a rounded inner product.
     """
-    _, g = _expanded_gram(X.d, X.coords, X.symmetric, spec)
+    if X.d != spec.d:
+        raise InvalidDimensionError("point set and psi dimension differ")
+    _, g = _expanded_gram(X.coords, X.symmetric)
     return _value_from_gram(g, spec)
 
 
@@ -190,28 +169,22 @@ def variational_values(X, t):
     return tuple(variational_value(X, make_psi(k, X.d, t)) for k in KINDS)
 
 
-def variational_gradient(X, spec):
-    """Cartesian gradient of V per point of the expanded set.
-
-    Returns an (N, d+1) array with row k equal to
-    (2/N^2) sum_{i != k} psi'(x_i . x_k) x_i.
-    """
-    coords, g = _expanded_gram(X.d, X.coords, X.symmetric, spec)
-    return _gradient_from_gram(g, coords, spec)
-
-
-def variational_value_and_param_gradient(p, spec):
-    """V and its gradient w.r.t. the packed free angles of p.
+def variational_value_and_param_gradient(p, t):
+    """V_psi3 at degree t and its gradient in the packed free angles of p.
 
     This is the L-BFGS-B objective.  One Gram matrix, of the coordinates
     the angles build (no PointSet), serves both: the value has the bits
-    of variational_value, and the gradient is pointset._angle_gradient
-    applied to the Cartesian gradient of variational_gradient.
+    of variational_value, and the gradient is the chain rule applied to
+    row k = (2/N^2) sum_{i != k} psi'(x_i . x_k) x_i of the expanded set.
     """
+    spec = make_psi(PSI3, p.d, t)
     coords, chain = _points_and_chain(p)
-    coords, g = _expanded_gram(p.d, coords, p.symmetric, spec)
-    return (_value_from_gram(g, spec),
-            chain(_gradient_from_gram(g, coords, spec)))
+    coords, g = _expanded_gram(coords, p.symmetric)
+    value = _value_from_gram(g, spec)
+    w = specfun.jacobi_deriv(spec.alpha + 1.0, spec.alpha, t, g)
+    np.fill_diagonal(w, 0.0)
+    N = g.shape[0]
+    return value, chain((2.0 / (N * N)) * (w @ coords))
 
 
 @dataclass

@@ -3,8 +3,8 @@
 Two engines are provided.  For S^2 a Levenberg-Marquardt iteration on
 the Weyl-sum residual r with the constant psi_3 weight a0, with the
 search direction solving (a0 A^T A + nu I) p = -a0 A^T r.  For any
-dimension and psi a bound-constrained limited-memory quasi-Newton
-minimization of the variational value V.
+dimension a bound-constrained limited-memory quasi-Newton minimization
+of the variational value V_psi3.
 
 generate_design lets the dimension pick the engine: Levenberg-Marquardt
 on S^2, quasi-Newton descent on V_psi3 for d > 2.  It runs seeded start
@@ -21,7 +21,7 @@ from scipy.optimize import minimize
 
 from . import bounds as bounds_mod
 from . import criteria, geometry, specfun
-from .criteria import make_psi, PSI3
+from .criteria import make_psi
 from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import (PointSet, TWO_PI, _moved, normalize_pointset,
                        param_to_points, points_to_param)
@@ -166,25 +166,23 @@ def _make_result(X, t, iterations):
     return result
 
 
-def minimize_variational(X0, spec):
-    """Bound-constrained quasi-Newton minimization of V over the packed
-    angles.  Accepted iterates never increase V."""
-    if X0.d != spec.d:
-        raise InvalidDimensionError("point set and psi dimension differ")
+def minimize_variational(X0, t):
+    """Bound-constrained quasi-Newton minimization of V_psi3 at degree t
+    over the packed angles of X0.  Accepted iterates never increase V."""
     p0 = _pack(X0)
     if p0.values.size == 0:
-        return _make_result(param_to_points(p0), spec.t, 0)
+        return _make_result(param_to_points(p0), t, 0)
 
     def fun(values):
         return criteria.variational_value_and_param_gradient(
-            _moved(p0, values), spec)
+            _moved(p0, values), t)
 
     res = minimize(fun, p0.values, jac=True, method="L-BFGS-B",
                    bounds=list(zip(p0.lower, p0.upper)),
                    options={"maxiter": _GRAD_MAX_ITERATIONS,
                             "maxfun": 4 * _GRAD_MAX_ITERATIONS,
                             "ftol": 1e-18, "gtol": _GRADIENT_TOLERANCE})
-    return _make_result(param_to_points(_moved(p0, res.x)), spec.t,
+    return _make_result(param_to_points(_moved(p0, res.x)), t,
                         int(res.nit))
 
 
@@ -345,8 +343,6 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
         else:
             kind = "random_uniform"
         plans.append((kind, opts.seed + 1000003 * k, False))
-    if d != 2:
-        spec = make_psi(PSI3, d, t)
     best = None
     best_any = None
     for kind, seed, antipodal in plans:
@@ -356,7 +352,7 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
                 X0, t, seed=seed + 1,
                 hops=_MAX_HOPS if antipodal or best is None else 2)
         else:
-            result = minimize_variational(X0, spec)
+            result = minimize_variational(X0, t)
         if antipodal:
             # the expanded points are those the solve's final Weyl sums
             # already ran over, so rtr and convergence stand

@@ -323,13 +323,19 @@ def write_pointset(X, path, t=None):
 def read_pointset(path):
     """Read a PointSet written by write_pointset (header optional).
 
-    Header fields are integers; sym is 0 or 1, and a field given twice
-    must repeat its value.
+    The file is UTF-8 text, a leading byte-order mark allowed.  Header
+    fields are integers; sym is 0 or 1, and a field given twice must
+    repeat its value.
     """
     header = {}
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    # a byte that is not UTF-8 reads as a lone surrogate, which encode refuses
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError("not UTF-8 text", lineno)
             line = raw.strip()
             if not line:
                 continue

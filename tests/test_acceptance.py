@@ -165,9 +165,8 @@ class TestProperties:
         from sphdesign.pointset import normalize_pointset
         X, _ = normalize_pointset(
             optimizer.initial_points(2, 10, "random_uniform", seed=8))
-        spec = make_psi(criteria.PSI2, 2, 4)
         p = points_to_param(X)
-        _, g = criteria.variational_value_and_param_gradient(p, spec)
+        _, g = criteria.variational_value_and_param_gradient(p, 4)
         eps = 1e-6
         for idx in rng.choice(p.values.size, 5, replace=False):
             vp = np.array(p.values)
@@ -176,9 +175,9 @@ class TestProperties:
             vm[idx] -= eps
             from sphdesign.pointset import ParamVector
             fp, _ = criteria.variational_value_and_param_gradient(
-                ParamVector(d=2, N=10, symmetric=False, values=vp), spec)
+                ParamVector(d=2, N=10, symmetric=False, values=vp), 4)
             fm, _ = criteria.variational_value_and_param_gradient(
-                ParamVector(d=2, N=10, symmetric=False, values=vm), spec)
+                ParamVector(d=2, N=10, symmetric=False, values=vm), 4)
             assert abs((fp - fm) / (2 * eps) - g[idx]) <= 1e-6
 
     def test_psi3_sum_of_squares_identity(self):

@@ -32,7 +32,7 @@ SIGNATURES = {
     "make_psi": ("kind", "d", "t"),
     "mesh_norm": ("X",),
     "mesh_ratio": ("X", "accuracy"),
-    "minimize_variational": ("X0", "spec"),
+    "minimize_variational": ("X0", "t"),
     "n_bar": ("d", "t"),
     "n_free": ("d", "N", "symmetric"),
     "n_hat": ("d", "t"),
@@ -41,7 +41,6 @@ SIGNATURES = {
     "normalize_pointset": ("X",),
     "param_to_points": ("p",),
     "points_to_param": ("X",),
-    "psi_deriv": ("spec", "z"),
     "psi_eval": ("spec", "z"),
     "read_pointset": ("path",),
     "row_degrees": ("L",),
@@ -49,7 +48,6 @@ SIGNATURES = {
     "solve_lsq": ("X0", "t"),
     "sph_harmonics_s2": ("L", "coords"),
     "sph_harmonics_s2_jacobian": ("tables",),
-    "variational_gradient": ("X", "spec"),
     "variational_value": ("X", "spec"),
     "verify_design": ("X", "t_max", "tolerance"),
     "weyl_jacobian": ("X", "residual"),

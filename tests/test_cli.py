@@ -29,6 +29,13 @@ def nan_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def not_utf8_file(tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"# d=2 N=2\n\xff\xfe\x00x\n1 0 0\n")
+    return str(path)
+
+
 def _reject_constant(name):
     raise ValueError("non-standard JSON constant %s" % name)
 
@@ -124,6 +131,22 @@ class TestVerify:
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt"), "--t", "3"]) == 2
 
+    def test_not_utf8_file(self, not_utf8_file, capsys):
+        assert main(["verify", not_utf8_file, "--t", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: not UTF-8 text\n"
+
+    def test_byte_order_mark(self, octa_file, tmp_path, capsys):
+        marked = tmp_path / "bom.txt"
+        with open(octa_file, "rb") as fh:
+            marked.write_bytes(b"\xef\xbb\xbf" + fh.read())
+        for t in ("3", "4"):
+            codes = [main(["verify", path, "--t", t, "--json"])
+                     for path in (octa_file, str(marked))]
+            plain, bom = capsys.readouterr().out.splitlines()
+            assert codes[0] == codes[1] and plain == bom
+
     @pytest.mark.parametrize("text", [
         "# d=2 sym=-3\n1 0 0\n0 1 0\n",
         "# d=2 N=2 sym=0\n# N=3\n1 0 0\n0 1 0\n0 0 1\n"])
@@ -155,6 +178,12 @@ class TestGeom:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: line 4: non-finite")
+
+    def test_not_utf8_file(self, not_utf8_file, capsys):
+        assert main(["geom", not_utf8_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: not UTF-8 text\n"
 
     def test_coincident_points(self, tmp_path, capsys):
         path = tmp_path / "repeated.txt"

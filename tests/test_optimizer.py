@@ -5,7 +5,7 @@ import pytest
 
 from sphdesign import bounds as bounds_mod
 from sphdesign import geometry, optimizer
-from sphdesign.criteria import PSI2, PSI3, make_psi, variational_value
+from sphdesign.criteria import PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
                                  _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
@@ -152,18 +152,18 @@ class TestLsq:
 class TestVariationalDescent:
     def test_d3_small(self):
         X0 = initial_points(3, 7, "random_uniform", seed=2)
-        res = minimize_variational(X0, make_psi(PSI3, 3, 2))
+        res = minimize_variational(X0, 2)
         assert res.converged
         assert verify_design(res.pointset, 2).is_design
 
     def test_descent_reaches_design_on_s2(self):
         X0 = initial_points(2, 8, "random_uniform", seed=1)
-        res = minimize_variational(X0, make_psi(PSI2, 2, 3))
-        assert abs(res.v2) < 1e-13
+        res = minimize_variational(X0, 3)
+        assert abs(res.v3) < 1e-13
 
     @pytest.mark.parametrize("d, t, kind", [(3, 2, PSI3), (3, 3, PSI3),
-                                            (3, 4, PSI3), (2, 3, PSI2),
-                                            (2, 4, PSI2), (2, 5, PSI2)])
+                                            (3, 4, PSI3), (2, 3, PSI3),
+                                            (2, 4, PSI3), (2, 5, PSI3)])
     def test_returned_value_never_above_the_start(self, d, t, kind):
         # accepted iterates never increase V, so neither does the solve,
         # converged or not (d=3, t=4, seed 2 stalls at V ~ 2e-5)
@@ -172,13 +172,8 @@ class TestVariationalDescent:
         for seed in range(4):
             X0 = initial_points(d, N, "random_uniform", seed=seed)
             start = variational_value(param_to_points(_pack(X0)), spec)
-            res = minimize_variational(X0, spec)
+            res = minimize_variational(X0, t)
             assert variational_value(res.pointset, spec) <= start
-
-    def test_dimension_mismatch(self):
-        X0 = initial_points(2, 9, "random_uniform")
-        with pytest.raises(InvalidDimensionError):
-            minimize_variational(X0, make_psi(PSI3, 3, 2))
 
 
 class TestGenerate:
@@ -353,7 +348,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
             result = _hops_reference(X0, t, seed + 1,
                                      _MAX_HOPS if best is None else 2)
         else:
-            result = minimize_variational(X0, make_psi(PSI3, d, t))
+            result = minimize_variational(X0, t)
         if best_any is None or _obj(result) < _obj(best_any):
             best_any = result
         if result.converged:

@@ -339,6 +339,27 @@ class TestIO:
         with pytest.raises(InvalidPointError, match="line 4: coordinate"):
             read_pointset(path)
 
+    @pytest.mark.parametrize("prefix, line", [
+        (b"", 1), (b"# d=2 N=2\n1 0 0\n# caf\xc3\xa9 ", 3),
+        (b"1 0 0\r\n" * 3000, 3001)], ids=["first", "comment", "past8k"])
+    def test_not_utf8(self, tmp_path, prefix, line):
+        # past8k puts the bad byte beyond the first 8 KiB decoded
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(prefix + b"\xff\xfe\x00x\n0 1 0\n")
+        with pytest.raises(ParseError, match="not UTF-8") as exc:
+            read_pointset(path)
+        assert exc.value.line_number == line
+
+    def test_byte_order_mark(self, tmp_path):
+        X = PointSet(d=2, coords=_random_sphere(2, 5, 3), symmetric=True)
+        path = tmp_path / "pts.txt"
+        write_pointset(X, path, t=3)
+        marked = tmp_path / "bom.txt"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        Y = read_pointset(marked)
+        assert Y.symmetric and Y.N == 10
+        assert np.array_equal(Y.coords, X.coords)
+
     @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
     def test_non_finite_row(self, tmp_path, token):
         path = tmp_path / "nan.txt"
