@@ -48,6 +48,8 @@ def cmd_bounds(args):
 
 def cmd_gen(args):
     # a bad output path is found before minutes of generation, not after
+    if not args.output:
+        raise SphDesignError("output path is empty")
     out_dir = os.path.dirname(args.output) or "."
     if not os.path.isdir(out_dir):
         raise SphDesignError("output directory %s does not exist" % out_dir)

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import (_points_and_chain, _require_normalized,
-                       _s2_param_columns)
+from .pointset import _points_and_chain, _s2_param_columns
 from .summation import comp_sum
 
 PSI1 = "psi1"
@@ -195,12 +194,15 @@ class WeylResidual:
     the harmonic basis.  weights is the psi_3 least-squares weight
     a_ell / Z(2, ell), the same float a0 for every row since
     a_ell = a0 Z(2, ell).  tables are the harmonic tables of the points
-    the sums ran over, which weyl_jacobian reuses.
+    the sums ran over, which weyl_jacobian reuses.  reduced is true for
+    weyl_residual_reduced: the sums ran over the representatives of a
+    symmetric set and r holds the even-degree rows, doubled.
     """
     t: int
     r: np.ndarray
     weights: float
     tables: specfun.HarmonicTables = field(repr=False, compare=False)
+    reduced: bool = False
 
     @property
     def rtr(self):
@@ -241,28 +243,22 @@ def weyl_residual_reduced(X, t):
     mask = symmetric_row_mask(t)
     values, tables = specfun.sph_harmonics_s2(t, X.coords)
     r = 2.0 * comp_sum(values[mask], axis=1)
-    return WeylResidual(t=t, r=r, weights=weights, tables=tables)
+    return WeylResidual(t=t, r=r, weights=weights, tables=tables,
+                        reduced=True)
 
 
-def weyl_jacobian(X, residual):
-    """Jacobian of the residual w.r.t. the packed angles (d = 2).
+def weyl_jacobian(residual):
+    """Jacobian of a Weyl residual w.r.t. the packed angles (d = 2).
 
-    residual is the WeylResidual of X; its harmonic tables give the
-    derivatives.  Rows follow the residual order (even degrees only for
-    symmetric sets, doubled); columns follow the ParamVector packing.
-    The result is C-contiguous: the normal equations built from it must
-    not depend on how it was assembled.
+    Rows follow the residual; columns follow the ParamVector packing of
+    the points the sums ran over (the representatives, for a reduced
+    residual).  Column k is the derivative w.r.t. one point's own angle
+    at a free slot, which holds for any set, canonical or not.  The
+    result is C-contiguous: the normal equations built from it must not
+    depend on how it was assembled.
     """
-    if X.d != 2:
-        raise InvalidDimensionError("Weyl Jacobians require d = 2")
-    _require_normalized(X)
-    reps = X.coords.shape[0]
-    if residual.tables.q.shape[1] != reps:
-        raise InvalidParameterError(
-            "the residual ran over %d points, X stores %d"
-            % (residual.tables.q.shape[1], reps))
     d1, d2 = specfun.sph_harmonics_s2_jacobian(residual.tables)
-    if X.symmetric:
+    if residual.reduced:
         mask = symmetric_row_mask(residual.t)
         d1 = 2.0 * d1[mask]
         d2 = 2.0 * d2[mask]

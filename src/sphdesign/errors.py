@@ -17,10 +17,6 @@ class InvalidParameterError(SphDesignError, ValueError):
     """A numeric parameter is outside its admissible range."""
 
 
-class NotNormalizedError(SphDesignError, ValueError):
-    """Point set lacks the canonical zero pattern required here."""
-
-
 class ParseError(SphDesignError, ValueError):
     """A point-set file could not be parsed."""
 

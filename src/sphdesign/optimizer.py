@@ -23,8 +23,8 @@ from . import bounds as bounds_mod
 from . import criteria, geometry, specfun
 from .criteria import make_psi
 from .errors import InvalidDimensionError, InvalidParameterError
-from .pointset import (PointSet, TWO_PI, _moved, normalize_pointset,
-                       param_to_points, points_to_param)
+from .pointset import (PointSet, TWO_PI, _moved, param_to_points,
+                       points_to_param)
 
 _LM_NU0 = 1e-2
 _LM_NU_UP = 10.0
@@ -139,14 +139,9 @@ def _fibonacci(N):
                                           s * np.sin(phi)], axis=1))
 
 
-def _pack(X0):
-    Xn, _ = normalize_pointset(X0)
-    return points_to_param(Xn)
-
-
 def _kick(X, rng, sigma):
     """X with Gaussian noise of strength sigma on its packed angles."""
-    p = _pack(X)
+    p = points_to_param(X)
     return param_to_points(
         _moved(p, p.values + rng.normal(0.0, sigma, p.values.size)))
 
@@ -169,7 +164,7 @@ def _make_result(X, t, iterations):
 def minimize_variational(X0, t):
     """Bound-constrained quasi-Newton minimization of V_psi3 at degree t
     over the packed angles of X0.  Accepted iterates never increase V."""
-    p0 = _pack(X0)
+    p0 = points_to_param(X0)
     if p0.values.size == 0:
         return _make_result(param_to_points(p0), t, 0)
 
@@ -207,7 +202,7 @@ def solve_lsq(X0, t):
     if X0.d != 2:
         raise InvalidDimensionError("least squares requires d = 2")
     specfun.row_degrees(t)  # refuses t above the harmonic cap, before packing
-    p = _pack(X0)
+    p = points_to_param(X0)
     if p.values.size == 0:
         return _make_result(param_to_points(p), t, 0)
     r_tol = _r_tolerance(X0.N)
@@ -227,7 +222,7 @@ def solve_lsq(X0, t):
                 and f > f_hist[-_STALL_WINDOW - 1] / _STALL_FACTOR
                 and res.rtr > 1e6 * r_tol):
             break
-        A = criteria.weyl_jacobian(X, res)
+        A = criteria.weyl_jacobian(res)
         g = A.T @ (w * res.r)
         B = A.T @ (w * A)
         stepped = False

@@ -20,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidPointError,
-                     InvalidParameterError, NotNormalizedError, ParseError)
+                     InvalidParameterError, ParseError)
 from .specfun import _frozen
 
 UNIT_TOL = 1e-12
@@ -242,39 +242,17 @@ def _points_and_chain(p):
 
 
 def points_to_param(X):
-    """Recover the packed free angles of a normalized PointSet.
+    """The packed free angles of X in its canonical position.
 
-    Raises NotNormalizedError when X lacks the canonical zero pattern.
+    X is first rotated by normalize_pointset, so any set is read; a set
+    already exactly in canonical position is read as it is.
     """
+    X, _ = normalize_pointset(X)
     d = X.d
     reps = X.coords.shape[0]
-    _require_normalized(X)
     angles = np.array([_point_to_angles(X.coords[j], d) for j in range(reps)])
     values = angles[_free_slots(d, reps)]
     return ParamVector(d=d, N=X.N, symmetric=X.symmetric, values=values)
-
-
-def _require_normalized(X, tol=1e-10):
-    coords = X.coords
-    reps, w = coords.shape
-    d = X.d
-    for j in range(min(reps, w)):
-        if np.any(np.abs(coords[j, j + 1:]) > tol):
-            raise NotNormalizedError(
-                "point %d violates the canonical zero pattern" % j)
-        # the sign of the last coordinate of point d is set by its free
-        # azimuth, so only the first min(d, N) diagonal entries are pinned
-        if j < min(reps, d) and coords[j, j] < -tol:
-            raise NotNormalizedError(
-                "point %d has a negative pinned coordinate" % j)
-
-
-def is_normalized(X, tol=1e-10):
-    try:
-        _require_normalized(X, tol)
-    except NotNormalizedError:
-        return False
-    return True
 
 
 def normalize_pointset(X):
@@ -286,7 +264,11 @@ def normalize_pointset(X):
     nonnegative diagonal, so the first point is e_1.  Rank deficiency
     is resolved by the identity completion of the QR factorization.
     """
-    if is_normalized(X, tol=0.0):
+    # already exact: zeros after the diagonal of the first d+1 points, a
+    # nonnegative diagonal on the first d (the sign of the last
+    # coordinate of point d is set by its free azimuth)
+    head = X.coords[:X.d + 1]
+    if not (np.any(np.triu(head, 1)) or np.any(np.diagonal(head)[:X.d] < 0)):
         return X, np.eye(X.d + 1)
     A = X.coords.T  # (d+1, reps), points as columns
     Q, R = np.linalg.qr(A, mode="complete")

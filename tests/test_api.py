@@ -17,7 +17,7 @@ SIGNATURES = {
     "SolveOptions": ("restarts", "seed"),
     "SolveResult": ("pointset", "converged", "rtr", "iterations", "geometry",
                     "t"),
-    "WeylResidual": ("t", "r", "weights", "tables"),
+    "WeylResidual": ("t", "r", "weights", "tables", "reduced"),
     "bounds_row": ("d", "t"),
     "dim_harmonic": ("d", "ell"),
     "dim_poly": ("d", "t"),
@@ -50,7 +50,7 @@ SIGNATURES = {
     "sph_harmonics_s2_jacobian": ("tables",),
     "variational_value": ("X", "spec"),
     "verify_design": ("X", "t_max", "tolerance"),
-    "weyl_jacobian": ("X", "residual"),
+    "weyl_jacobian": ("residual",),
     "weyl_residual": ("X", "t"),
     "write_pointset": ("X", "path", "t"),
 }

@@ -286,12 +286,14 @@ class TestGen:
         def fail(*args, **kwargs):
             raise AssertionError("generated before the output was checked")
         monkeypatch.setattr(sphdesign.optimizer, "generate_design", fail)
-        code = main(["gen", "--t", "9", "-o", str(tmp_path)])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: output ")
-        assert captured.err.count("\n") == 1
+        # a directory, and an empty path (whose dirname is "" too)
+        for output in (str(tmp_path), ""):
+            code = main(["gen", "--t", "9", "-o", output])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: output ")
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("restarts", ["0", "-4"])
     def test_restarts_below_one_is_usage_error(self, tmp_path, capsys,

@@ -15,14 +15,15 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 weyl_jacobian, weyl_residual,
                                 weyl_residual_reduced)
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
-                              InvalidPointError, NotNormalizedError)
+                              InvalidPointError)
 from sphdesign.pointset import (ParamVector, PointSet, _free_slots,
                                 _points_and_chain, n_free,
                                 normalize_pointset, param_to_points,
                                 points_to_param)
 from sphdesign.specfun import dim_harmonic, jacobi_deriv, row_degrees
 from sphdesign.summation import comp_sum
-from test_pointset import _point_recurrence, _tables_as_floats
+from test_pointset import (_angles_to_points, _point_recurrence,
+                           _tables_as_floats)
 
 
 def _random_set(d, N, seed=0, symmetric=False):
@@ -447,7 +448,7 @@ class TestWeylResidual:
         Y, _ = normalize_pointset(X)
         t = 4
         p = points_to_param(Y)
-        A = weyl_jacobian(Y, weyl_residual(Y, t))
+        A = weyl_jacobian(weyl_residual(Y, t))
         h = 1e-7
         for s in range(p.values.size):
             vp = p.values.copy()
@@ -467,7 +468,7 @@ class TestWeylResidual:
         Y, _ = normalize_pointset(X)
         t = 5
         p = points_to_param(Y)
-        A = weyl_jacobian(Y, weyl_residual_reduced(Y, t))
+        A = weyl_jacobian(weyl_residual_reduced(Y, t))
         h = 1e-7
         from sphdesign.pointset import param_to_points
         for s in range(0, p.values.size, 3):
@@ -504,18 +505,18 @@ class TestWeylResidual:
                 ref[:, s] = d1[:, j] if i == 0 else d2[:, j]
                 s += 1
         res = (weyl_residual_reduced if symmetric else weyl_residual)(Y, t)
-        A = weyl_jacobian(Y, res)
+        A = weyl_jacobian(res)
         assert A.flags["C_CONTIGUOUS"]
         assert A.tobytes() == ref.tobytes()
 
-    def test_jacobian_rejects_residual_of_other_points(self):
-        # the full residual of a symmetric set runs over both halves,
-        # while the Jacobian's columns are the representatives' angles
+    def test_jacobian_of_full_residual_of_symmetric_set(self):
+        # the full residual of a symmetric set runs over both halves, so
+        # its Jacobian is that of the expanded set
         Y, _ = normalize_pointset(_random_set(2, 12, 8, symmetric=True))
-        with pytest.raises(InvalidParameterError):
-            weyl_jacobian(Y, weyl_residual(Y, 5))
-        with pytest.raises(InvalidParameterError):
-            weyl_jacobian(Y.expand(), weyl_residual_reduced(Y, 5))
+        A = weyl_jacobian(weyl_residual(Y, 5))
+        assert A.shape[1] == n_free(2, 12)
+        assert A.tobytes() == weyl_jacobian(
+            weyl_residual(Y.expand(), 5)).tobytes()
 
     @pytest.mark.parametrize("t", [0, -1])
     def test_residual_needs_positive_degree(self, t):
@@ -544,8 +545,27 @@ class TestWeylResidual:
         with pytest.raises(InvalidDimensionError):
             weyl_residual(_random_set(3, 5), 3)
 
-    def test_jacobian_requires_normalized(self):
-        # columns follow the packed angles of the canonical position
-        X = _random_set(2, 7, 6)
-        with pytest.raises(NotNormalizedError):
-            weyl_jacobian(X, weyl_residual(X, 4))
+    def test_jacobian_finite_difference_off_canonical(self):
+        # column (j, i) is the derivative w.r.t. angle i of point j
+        # itself, so it holds on a set not in canonical position
+        t, h = 4, 1e-6
+        for symmetric in (False, True):
+            X = _random_set(2, 18 if symmetric else 9, 6, symmetric)
+            assert normalize_pointset(X)[0] is not X
+            residual = weyl_residual_reduced if symmetric else weyl_residual
+            A = weyl_jacobian(residual(X, t))
+            reps = X.coords.shape[0]
+            phi = np.stack([np.arccos(X.coords[:, 0]),
+                            np.arctan2(X.coords[:, 2], X.coords[:, 1])],
+                           axis=1)
+            rows, cols = _free_slots(2, reps)
+            assert A.shape[1] == rows.size
+            for s, (j, i) in enumerate(zip(rows, cols)):
+                r = []
+                for step in (h, -h):
+                    moved = phi.copy()
+                    moved[j, i] += step
+                    r.append(residual(PointSet(2, _angles_to_points(moved),
+                                               symmetric), t).r)
+                assert np.allclose(A[:, s], (r[0] - r[1]) / (2.0 * h),
+                                   rtol=1e-6, atol=1e-7)

@@ -9,13 +9,14 @@ from sphdesign.criteria import PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
                                  _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
-                                 _pack, _spiral, generate_design,
+                                 _spiral, generate_design,
                                  initial_points, minimize_variational,
                                  solve_lsq)
-from sphdesign.pointset import (ParamVector, TWO_PI, is_normalized,
-                                param_to_points)
+from sphdesign.pointset import (ParamVector, TWO_PI, param_to_points,
+                                points_to_param)
 from sphdesign.quadrature import verify_design
 from sphdesign.specfun import MAX_HARMONIC_DEGREE
+from test_pointset import _canonical
 
 
 def _fail(*args, **kwargs):
@@ -25,7 +26,7 @@ def _fail(*args, **kwargs):
 def _refuse_start_work(monkeypatch):
     """Make building or packing a start fail the test."""
     monkeypatch.setattr(optimizer, "initial_points", _fail)
-    monkeypatch.setattr(optimizer, "normalize_pointset", _fail)
+    monkeypatch.setattr(optimizer, "points_to_param", _fail)
 
 
 class TestInitialPoints:
@@ -125,7 +126,7 @@ class TestLsq:
         assert res.iterations == 1
         # the start is returned as packed
         assert np.array_equal(res.pointset.coords,
-                              param_to_points(_pack(X0)).coords)
+                              param_to_points(points_to_param(X0)).coords)
 
     def test_d2_only(self):
         X0 = initial_points(3, 8, "random_uniform")
@@ -171,7 +172,8 @@ class TestVariationalDescent:
         N = bounds_mod.n_hat(d, t) if d > 2 else bounds_mod.n_default(2, t)
         for seed in range(4):
             X0 = initial_points(d, N, "random_uniform", seed=seed)
-            start = variational_value(param_to_points(_pack(X0)), spec)
+            start = variational_value(
+                param_to_points(points_to_param(X0)), spec)
             res = minimize_variational(X0, t)
             assert variational_value(res.pointset, spec) <= start
 
@@ -269,9 +271,7 @@ class TestKick:
         a = _kick(X, np.random.default_rng(5), 0.05)
         b = _kick(X, np.random.default_rng(5), 0.05)
         assert a.N == N and a.symmetric == symmetric
-        assert is_normalized(a)
-        for j in range(min(a.coords.shape[0], d + 1)):
-            assert np.all(a.coords[j, j + 1:] == 0.0)
+        assert _canonical(a)
         assert np.array_equal(a.coords, b.coords)
         c = _kick(X, np.random.default_rng(6), 0.05)
         assert not np.array_equal(a.coords, c.coords)
@@ -300,7 +300,7 @@ def _hops_reference(X0, t, seed, hops):
         if result.converged:
             break
         sigma = _HOP_SIGMAS[k % len(_HOP_SIGMAS)]
-        p = _pack(result.pointset)
+        p = points_to_param(result.pointset)
         kicked = ParamVector(
             d=p.d, N=p.N, symmetric=p.symmetric,
             values=_clip_wrap_reference(
@@ -362,7 +362,7 @@ def _generate_reference(d, t, N=None, symmetric=False, opts=SolveOptions()):
         for _ in range(_REFINE_TICKETS):
             if best.geometry.rho <= _RHO_REFINE:
                 break
-            p = _pack(best.pointset)
+            p = points_to_param(best.pointset)
             kicked = ParamVector(
                 d=p.d, N=p.N, symmetric=p.symmetric,
                 values=_clip_wrap_reference(p, p.values + rng.normal(

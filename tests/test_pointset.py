@@ -10,15 +10,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphdesign.errors import (InvalidDimensionError, InvalidPointError,
-                              InvalidParameterError, NotNormalizedError,
-                              ParseError)
+                              InvalidParameterError, ParseError)
 from sphdesign.pointset import (ParamVector, PointSet, _angle_bounds,
                                 _free_slots, _moved, _points_and_chain,
                                 _s2_param_columns, _sine_prefix,
-                                is_normalized, n_free, normalize_pointset,
+                                n_free, normalize_pointset,
                                 param_jacobian_point, param_to_points,
                                 points_to_param, read_pointset,
                                 write_pointset)
+
+
+def _canonical(X):
+    """The exact canonical zero pattern: zeros after the diagonal of
+    the first d+1 points, and a nonnegative diagonal on the first d."""
+    c = X.coords
+    for j in range(min(c.shape[0], X.d + 1)):
+        if np.any(c[j, j + 1:] != 0.0) or (j < X.d and c[j, j] < 0.0):
+            return False
+    return True
 
 
 def _random_sphere(d, N, seed=0):
@@ -123,7 +132,7 @@ class TestNormalization:
     def test_canonical_form(self, d, N, seed):
         X = PointSet(d=d, coords=_random_sphere(d, N, seed))
         Y, Q = normalize_pointset(X)
-        assert is_normalized(Y)
+        assert _canonical(Y)
         # Q is a rotation of the original coordinates
         assert np.allclose(Q @ Q.T, np.eye(d + 1), atol=1e-12)
         assert np.allclose(Y.coords, X.coords @ Q.T, atol=1e-12)
@@ -142,10 +151,17 @@ class TestNormalization:
         Y, _ = normalize_pointset(X)
         assert np.allclose(Y.coords[0], [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
-    def test_points_to_param_requires_normalized(self):
-        X = PointSet(d=2, coords=_random_sphere(2, 6, 11))
-        with pytest.raises(NotNormalizedError):
-            points_to_param(X)
+    def test_points_to_param_reads_the_canonical_rotation(self):
+        # any set is packed as its canonical rotation, bit for bit
+        for d in (2, 3, 4):
+            for symmetric in (False, True):
+                X = PointSet(d=d, coords=_random_sphere(d, 7, 11 + d),
+                             symmetric=symmetric)
+                Y, _ = normalize_pointset(X)
+                assert not _canonical(X) and _canonical(Y)
+                p, q = points_to_param(X), points_to_param(Y)
+                assert (p.N, p.symmetric) == (q.N, q.symmetric)
+                assert p.values.tobytes() == q.values.tobytes()
 
 
 class TestRoundTrip:
