@@ -22,6 +22,10 @@ from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import _points_and_chain, _s2_param_columns
 from .summation import comp_sum
 
+# elements of psi evaluated per row block of a Gram matrix's upper
+# triangle; a matrix of at most this many elements is one block
+_PAIR_BLOCK = 1 << 15
+
 PSI1 = "psi1"
 PSI2 = "psi2"
 PSI3 = "psi3"
@@ -133,6 +137,9 @@ def psi_coefficients(spec):
 
 
 def _gram(coords):
+    """Clipped Gram matrix, exactly symmetric: numpy computes a @ a.T
+    of one contiguous buffer (every caller's coordinates) as a symmetric
+    rank-k product, one triangle mirrored."""
     g = coords @ coords.T
     np.clip(g, -1.0, 1.0, out=g)
     return g
@@ -145,9 +152,27 @@ def _expanded_gram(coords, symmetric):
 
 
 def _value_from_gram(g, spec):
-    vals = psi_eval(spec, g)
-    np.fill_diagonal(vals, spec.psi_at_1)
+    """(1/N^2) sum_{i,j} psi(g_ij), psi(1) on the diagonal.
+
+    A Gram matrix of more than _PAIR_BLOCK elements is evaluated once
+    per unordered pair: psi runs over row blocks of its upper triangle,
+    each of at most _PAIR_BLOCK elements so the recurrence's passes
+    stay in cache, and the strictly lower part is the transpose of what
+    was computed.  g is exactly symmetric (_gram) and psi is elementwise,
+    so every value, and the one comp_sum of all N^2 of them, has the
+    bits of a single pass over g.
+    """
     N = g.shape[0]
+    if N * N <= _PAIR_BLOCK:
+        vals = psi_eval(spec, g)
+    else:
+        vals = np.empty_like(g)
+        rows = max(1, _PAIR_BLOCK // N)
+        for i in range(0, N, rows):
+            j = i + rows
+            vals[i:j, i:] = psi_eval(spec, g[i:j, i:])
+            vals[j:, i:j] = vals[i:j, j:].T
+    np.fill_diagonal(vals, spec.psi_at_1)
     return comp_sum(vals) / (N * N)
 
 
@@ -155,7 +180,9 @@ def variational_value(X, spec):
     """V = (1/N^2) sum_{i,j} psi(x_i . x_j), correctly rounded summation.
 
     The diagonal uses the analytic value psi(1) instead of evaluating
-    the polynomial at a rounded inner product.
+    the polynomial at a rounded inner product.  psi is evaluated once
+    per unordered pair, in cache-sized blocks, with the bits of one
+    pass over every pair (_value_from_gram).
     """
     if X.d != spec.d:
         raise InvalidDimensionError("point set and psi dimension differ")

@@ -38,12 +38,18 @@ _REPEATED_ROW_DELTA = 1e-5
 
 
 def separation(X):
-    """Minimum geodesic distance over all point pairs."""
+    """Minimum geodesic distance over all point pairs.
+
+    The diagonal of the clipped Gram matrix is overwritten with -1, its
+    floor, so the maximum runs over the off-diagonal entries alone; the
+    matrix is exactly symmetric (_gram), so that is the maximum over
+    unordered pairs, without gathering a triangle.
+    """
     coords = X.expanded()
-    N = coords.shape[0]
-    if N < 2:
+    if coords.shape[0] < 2:
         raise UndefinedMetricError("separation needs at least two points")
-    g = _gram(coords)[np.triu_indices(N, k=1)]
+    g = _gram(coords)
+    np.fill_diagonal(g, -1.0)
     return float(np.arccos(np.max(g)))
 
 

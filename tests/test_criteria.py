@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphdesign import polytopes
+from sphdesign import criteria, polytopes
 from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 psi_coefficients, psi_eval,
                                 symmetric_row_mask, variational_value,
@@ -197,6 +197,100 @@ class TestVariationalValue:
         X = _random_set(d, N, 6, symmetric=symmetric)
         assert variational_values(X, t) == tuple(
             variational_value(X, make_psi(k, d, t)) for k in KINDS)
+
+
+def _one_pass_values(g, spec):
+    """The pair values of one psi pass over the whole Gram matrix."""
+    vals = psi_eval(spec, g)
+    np.fill_diagonal(vals, spec.psi_at_1)
+    return vals
+
+
+class TestBlockedPairValues:
+    """psi runs over row blocks of the upper triangle and the lower part
+    is mirrored; every value and V keep the bits of one pass over g."""
+
+    # with 64-element blocks a matrix of up to 8 rows is one block
+    BLOCK = 64
+    ROWS = 8
+
+    @staticmethod
+    def _check(monkeypatch, X, spec):
+        # the matrix handed to the one comp_sum, and V, against one pass
+        _, g = criteria._expanded_gram(X.coords, X.symmetric)
+        N = g.shape[0]
+        seen = []
+
+        def capture(vals):
+            seen.append(vals.copy())
+            return comp_sum(vals)
+        monkeypatch.setattr(criteria, "comp_sum", capture)
+        v = criteria._value_from_gram(g, spec)
+        expect = _one_pass_values(g, spec)
+        assert len(seen) == 1 and seen[0].shape == (N, N)
+        assert np.array_equal(seen[0], expect)
+        assert v.hex() == (comp_sum(expect) / (N * N)).hex()
+
+    # N = 1, 2, one row below, at and above a one-block matrix, blocks
+    # that divide N, ragged last blocks, and one-row blocks (N above
+    # the block size)
+    @pytest.mark.parametrize("N", [1, 2, ROWS - 1, ROWS, ROWS + 1, 16, 23,
+                                   BLOCK + 1])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plain_sets_match_one_pass(self, monkeypatch, kind, d, N):
+        monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
+        self._check(monkeypatch, _random_set(d, N, N), make_psi(kind, d, 7))
+
+    # expanded N = 2, 8 (one block), 10 and 14 (ragged last blocks)
+    @pytest.mark.parametrize("N", [2, ROWS, ROWS + 2, 14])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_symmetric_sets_match_one_pass(self, monkeypatch, kind, d, N):
+        monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
+        X = _random_set(d, N, N + 1, symmetric=True)
+        self._check(monkeypatch, X, make_psi(kind, d, 6))
+
+    # the module's own block: 181^2 fits in one, 182 rows are blocks of
+    # 180 and 2, and 400 rows are four blocks of 81 and a ragged 76
+    @pytest.mark.parametrize("N, symmetric", [(181, False), (182, True),
+                                              (400, False)])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_module_block_matches_one_pass(self, monkeypatch, kind, N,
+                                           symmetric):
+        assert criteria._PAIR_BLOCK == 1 << 15
+        X = _random_set(2, N, 7, symmetric=symmetric)
+        self._check(monkeypatch, X, make_psi(kind, 2, 11))
+
+    @pytest.mark.parametrize("N", [1, 2, ROWS, ROWS + 1, 23, BLOCK + 1])
+    def test_psi_runs_once_per_unordered_pair(self, monkeypatch, N):
+        # one call over all of a one-block matrix; otherwise blocks of at
+        # most BLOCK elements that together cover the upper triangle and
+        # the diagonal, and no more than the lower part of their own rows
+        monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
+        sizes = []
+
+        def counted(spec, z):
+            sizes.append(np.size(z))
+            return psi_eval(spec, z)
+        monkeypatch.setattr(criteria, "psi_eval", counted)
+        criteria._value_from_gram(criteria._gram(_random_set(3, N).coords),
+                                  make_psi(PSI3, 3, 4))
+        if N <= self.ROWS:
+            assert sizes == [N * N]
+        else:
+            rows = max(1, self.BLOCK // N)
+            assert max(sizes) <= max(self.BLOCK, N)
+            assert sum(sizes) <= (N * (N + 1) + N * (rows - 1)) // 2
+
+    @pytest.mark.parametrize("N", [1, 2, 9, 64, 181, 182, 600, 1302])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_gram_is_exactly_symmetric(self, d, N):
+        # the mirror relies on it, for plain and expanded coordinates
+        X = _random_set(d, N, 11)
+        for coords in (X.coords, np.vstack([X.coords, -X.coords])):
+            g = criteria._gram(coords)
+            assert np.array_equal(g, g.T)
 
 
 def _cartesian_gradient(X, t):

@@ -29,6 +29,14 @@ def _brute_separation(coords):
     return best
 
 
+def _triangle_separation(coords):
+    """Separation over the gathered strict upper triangle of the Gram
+    matrix."""
+    N = coords.shape[0]
+    g = np.clip(coords @ coords.T, -1.0, 1.0)[np.triu_indices(N, k=1)]
+    return float(np.arccos(np.max(g)))
+
+
 def _sampled_mesh_norm(coords, M=200000, seed=1):
     """Monte-Carlo lower estimate of the covering radius."""
     rng = np.random.default_rng(seed)
@@ -63,6 +71,22 @@ class TestSeparation:
     def test_single_point_undefined(self):
         with pytest.raises(UndefinedMetricError):
             separation(PointSet(d=2, coords=np.eye(3)[:1]))
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("N", [2, 3, 17, 200])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_triangle_oracle_bit_for_bit(self, d, N, symmetric):
+        rng = np.random.default_rng(100 * d + N)
+        c = rng.standard_normal((N, d + 1))
+        c /= np.linalg.norm(c, axis=1)[:, None]
+        X = PointSet(d=d, coords=c, symmetric=symmetric)
+        assert separation(X).hex() == _triangle_separation(X.expanded()).hex()
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_antipodal_pair_is_pi(self, d):
+        assert separation(polytopes.antipodal_pair(d)) == math.pi
+        one = PointSet(d=d, coords=np.eye(d + 1)[:1], symmetric=True)
+        assert separation(one) == math.pi
 
 
 class TestMeshNorm:
@@ -213,6 +237,17 @@ class TestMeshRatio:
         v = np.random.default_rng(seed).standard_normal(3)
         v *= scale / np.linalg.norm(v)
         X = PointSet(d=2, coords=np.vstack([v, v, np.eye(3)]))
+        with pytest.raises(UndefinedMetricError):
+            mesh_ratio(X)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_repeated_representative_undefined(self, d):
+        # a symmetric set whose representative repeats holds two copies
+        # of it and of its antipode
+        v = np.random.default_rng(d).standard_normal(d + 1)
+        v /= np.linalg.norm(v)
+        X = PointSet(d=d, coords=np.vstack([v, np.eye(d + 1), v]),
+                     symmetric=True)
         with pytest.raises(UndefinedMetricError):
             mesh_ratio(X)
 
