@@ -22,8 +22,9 @@ from .errors import InvalidDimensionError, InvalidParameterError
 from .pointset import _points_and_chain, _s2_param_columns
 from .summation import comp_sum
 
-# elements of psi evaluated per row block of a Gram matrix's upper
-# triangle; a matrix of at most this many elements is one block
+# elements per row block of a Gram matrix's upper triangle (psi values)
+# or of a harmonic value table (Weyl sums); a matrix of at most this
+# many elements is one block
 _PAIR_BLOCK = 1 << 15
 
 PSI1 = "psi1"
@@ -155,22 +156,25 @@ def _value_from_gram(g, spec):
     """(1/N^2) sum_{i,j} psi(g_ij), psi(1) on the diagonal.
 
     A Gram matrix of more than _PAIR_BLOCK elements is evaluated once
-    per unordered pair: psi runs over row blocks of its upper triangle,
-    each of at most _PAIR_BLOCK elements so the recurrence's passes
-    stay in cache, and the strictly lower part is the transpose of what
-    was computed.  g is exactly symmetric (_gram) and psi is elementwise,
-    so every value, and the one comp_sum of all N^2 of them, has the
-    bits of a single pass over g.
+    per unordered pair, in place: psi runs over row blocks of its upper
+    triangle, each of at most _PAIR_BLOCK elements so the recurrence's
+    passes stay in cache, and the strictly lower part is the transpose
+    of what was computed.  Such a g is overwritten with psi's values.
+    Block rows i:j read g[i:j, i:] before writing it, and the mirror
+    writes only columns below j, which no later block reads.  g is
+    exactly symmetric (_gram) and psi is elementwise, so every value,
+    and the one comp_sum of all N^2 of them, has the bits of a single
+    pass over g.
     """
     N = g.shape[0]
     if N * N <= _PAIR_BLOCK:
         vals = psi_eval(spec, g)
     else:
-        vals = np.empty_like(g)
+        vals = g
         rows = max(1, _PAIR_BLOCK // N)
         for i in range(0, N, rows):
             j = i + rows
-            vals[i:j, i:] = psi_eval(spec, g[i:j, i:])
+            vals[i:j, i:] = psi_eval(spec, vals[i:j, i:])
             vals[j:, i:j] = vals[i:j, j:].T
     np.fill_diagonal(vals, spec.psi_at_1)
     return comp_sum(vals) / (N * N)
@@ -206,8 +210,9 @@ def variational_value_and_param_gradient(p, t):
     spec = make_psi(PSI3, p.d, t)
     coords, chain = _points_and_chain(p)
     coords, g = _expanded_gram(coords, p.symmetric)
-    value = _value_from_gram(g, spec)
+    # psi' first: the value may overwrite g
     w = specfun.jacobi_deriv(spec.alpha + 1.0, spec.alpha, t, g)
+    value = _value_from_gram(g, spec)
     np.fill_diagonal(w, 0.0)
     N = g.shape[0]
     return value, chain((2.0 / (N * N)) * (w @ coords))
@@ -220,8 +225,10 @@ class WeylResidual:
     r is ordered by ascending degree with the fixed in-degree order of
     the harmonic basis.  weights is the psi_3 least-squares weight
     a_ell / Z(2, ell), the same float a0 for every row since
-    a_ell = a0 Z(2, ell).  tables are the harmonic tables of the points
-    the sums ran over, which weyl_jacobian reuses.  reduced is true for
+    a_ell = a0 Z(2, ell).  tables are the Schmidt and trigonometric
+    tables of the points the sums ran over, which weyl_jacobian reuses;
+    they hold about (t+1)(t+2)/2 + 2t+1 doubles per point, and a caller
+    that needs only the sums should drop them.  reduced is true for
     weyl_residual_reduced: the sums ran over the representatives of a
     symmetric set and r holds the even-degree rows, doubled.
     """
@@ -236,23 +243,43 @@ class WeylResidual:
         return float(comp_sum(self.r * self.r))
 
 
+def _weyl_sums(t, coords, even=False):
+    """Row sums of the harmonic values of degrees 1..t (the even degrees
+    alone if even) at the (M, 3) array coords, and the tables they came
+    from.
+
+    A value table of at most _PAIR_BLOCK elements comes whole from
+    sph_harmonics_s2.  A larger one is never held whole: its rows are
+    formed from the tables and summed in blocks of at most _PAIR_BLOCK
+    elements.  Values are elementwise and comp_sum gives
+    each row the bits it has alone, so the sums have the bits of one
+    pass over the whole table.
+    """
+    lay = specfun._basis_layout(t, even)  # refuses t before any table
+    M = coords.shape[0]
+    if lay.rows.size * M <= _PAIR_BLOCK:
+        values, tables = specfun.sph_harmonics_s2(t, coords, even)
+        return comp_sum(values, axis=1), tables
+    tables = specfun._harmonic_tables(t, coords)
+    sums = np.empty(lay.rows.size)
+    step = max(1, _PAIR_BLOCK // M)
+    for i in range(0, sums.size, step):
+        rows = slice(i, i + step)
+        sums[rows] = comp_sum(specfun._harmonic_values(tables, lay, rows),
+                              axis=1)
+    return sums, tables
+
+
 def weyl_residual(X, t):
     """Weyl sums r_{ell,k} = sum_j Y_{ell,k}(x_j) for ell = 1..t (d = 2),
-    over the expanded points, with the psi_3 weight."""
+    over the expanded points, with the psi_3 weight.  The harmonic
+    values are summed in row blocks (_weyl_sums), so no table of all of
+    them is held."""
     if X.d != 2:
         raise InvalidDimensionError("Weyl residuals require d = 2")
     weights = make_psi(PSI3, 2, t).a0
-    values, tables = specfun.sph_harmonics_s2(t, X.expanded())
-    return WeylResidual(t=t, r=comp_sum(values, axis=1), weights=weights,
-                        tables=tables)
-
-
-@lru_cache(maxsize=None)
-def symmetric_row_mask(t):
-    """Mask of even-degree rows in the full residual of degree t
-    (read-only)."""
-    mask, = specfun._frozen(specfun.row_degrees(t) % 2 == 0)
-    return mask
+    r, tables = _weyl_sums(t, X.expanded())
+    return WeylResidual(t=t, r=r, weights=weights, tables=tables)
 
 
 def weyl_residual_reduced(X, t):
@@ -260,17 +287,15 @@ def weyl_residual_reduced(X, t):
     psi_3 weight.
 
     The sums run over the representatives and are doubled; odd degrees
-    cancel identically by symmetry so they are dropped.
+    cancel identically by symmetry so they are neither built nor summed.
     """
     if X.d != 2:
         raise InvalidDimensionError("Weyl residuals require d = 2")
     if not X.symmetric:
         raise InvalidParameterError("reduced residual needs a symmetric set")
     weights = make_psi(PSI3, 2, t).a0
-    mask = symmetric_row_mask(t)
-    values, tables = specfun.sph_harmonics_s2(t, X.coords)
-    r = 2.0 * comp_sum(values[mask], axis=1)
-    return WeylResidual(t=t, r=r, weights=weights, tables=tables,
+    r, tables = _weyl_sums(t, X.coords, even=True)
+    return WeylResidual(t=t, r=2.0 * r, weights=weights, tables=tables,
                         reduced=True)
 
 
@@ -284,9 +309,9 @@ def weyl_jacobian(residual):
     result is C-contiguous: the normal equations built from it must not
     depend on how it was assembled.
     """
-    d1, d2 = specfun.sph_harmonics_s2_jacobian(residual.tables)
+    d1, d2 = specfun.sph_harmonics_s2_jacobian(residual.tables,
+                                               residual.reduced)
     if residual.reduced:
-        mask = symmetric_row_mask(residual.t)
-        d1 = 2.0 * d1[mask]
-        d2 = 2.0 * d2[mask]
+        d1 *= 2.0
+        d2 *= 2.0
     return _s2_param_columns(d1, d2)

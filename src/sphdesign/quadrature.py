@@ -51,6 +51,11 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     the largest degree whose conditions all hold.  For d = 2 the
     decision uses scaled Weyl sums; for d > 2 the three variational
     values per candidate degree.
+
+    Working memory on S^2 is about the larger of the Schmidt table,
+    8 N (t_max+1)(t_max+2)/2 bytes, which the Weyl sums are formed from
+    in row blocks, and one Gram matrix of 8 N^2 bytes, which psi
+    overwrites in place; the tables are dropped before the pair sums.
     """
     if t_max < 1:
         raise InvalidParameterError("t_max must be >= 1")
@@ -62,14 +67,15 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
         # the residual refuses a degree above the harmonic cap before
         # the N^2 pair sums are spent
         res = criteria.weyl_residual(X, t_max)
+        r, rtr = res.r, res.rtr
+        del res  # its harmonic tables, before the pair sums
         v = criteria.variational_values(X, t_max)
-        scaled = np.abs(res.r) / X.N
+        scaled = np.abs(r) / X.N
         # rows run by ascending degree: the first failing row ends the
         # exact degrees
         failed = specfun.row_degrees(t_max)[scaled > tolerance]
         exact = int(failed[0]) - 1 if failed.size else t_max
         max_abs = float(np.max(scaled))
-        rtr = res.rtr
         is_design = max_abs <= tolerance
     else:
         v = criteria.variational_values(X, t_max)

@@ -6,7 +6,8 @@ The Jacobi functions take alpha, beta and the degree n
 unit vectors: sph_harmonics_s2(L, coords) returns the values and the
 tables they were built from, and sph_harmonics_s2_jacobian takes those
 tables.  The harmonic basis holds degrees 1..L, degree l in rows
-l^2 - 1 .. (l+1)^2 - 2 (row_degrees).
+l^2 - 1 .. (l+1)^2 - 2 (row_degrees); with even=True both build the
+even-degree rows alone.
 
 All harmonic evaluation uses stable three-term recurrences in double
 precision; every ratio of gamma functions goes through log-gamma
@@ -332,12 +333,16 @@ class _BasisLayout(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _basis_layout(L):
-    """Row layout of the basis up to degree L.  In-degree index s runs
-    -l..l; the normalization is sqrt(2l+1) for s = 0, else sqrt(2(2l+1))."""
+def _basis_layout(L, even=False):
+    """Row layout of the basis up to degree L, or of its even-degree
+    rows alone if even.  In-degree index s runs -l..l; the normalization
+    is sqrt(2l+1) for s = 0, else sqrt(2(2l+1))."""
     ls = row_degrees(L)
     # the zonal row of degree l is row l^2 - 1 + l
     s = np.arange(ls.size) + 1 - ls * (ls + 1)
+    if even:
+        keep = ls % 2 == 0
+        ls, s = ls[keep], s[keep]
     coef = np.where(s == 0, np.sqrt(2.0 * ls + 1.0),
                     np.sqrt(2.0 * (2.0 * ls + 1.0)))
     return _BasisLayout(*_frozen(
@@ -346,34 +351,43 @@ def _basis_layout(L):
         np.abs(s).astype(float)[:, None], s == 0))
 
 
-def sph_harmonics_s2(L, coords):
+def _harmonic_values(tables, lay, rows=slice(None)):
+    """The basis values of the layout rows `rows` (a slice) from the
+    tables of sph_harmonics_s2.  Values are elementwise products, so a
+    block of rows has the bits of the same rows of the whole table."""
+    out = tables.q[lay.rows[rows]]
+    out *= lay.coef[rows]
+    out *= tables.trig[lay.trig_rows[rows]]
+    return out
+
+
+def sph_harmonics_s2(L, coords, even=False):
     """The real orthonormal harmonic basis of degrees 1..L at the rows
-    of the (M, 3) array coords of unit vectors.
+    of the (M, 3) array coords of unit vectors; the even degrees alone
+    if even.
 
     Returns (values, tables).  values has one row per basis function;
     the block of degree l holds 2l+1 rows ordered sin(l phi2)..sin(phi2),
     the zonal term, then cos(phi2)..cos(l phi2).  tables are the tables
     the values were built from, for reuse by sph_harmonics_s2_jacobian.
     """
-    lay = _basis_layout(L)  # refuses L before any table is built
+    lay = _basis_layout(L, even)  # refuses L before any table is built
     tables = _harmonic_tables(L, coords)
-    out = tables.q[lay.rows]
-    out *= lay.coef
-    out *= tables.trig[lay.trig_rows]
-    return out, tables
+    return _harmonic_values(tables, lay), tables
 
 
-def sph_harmonics_s2_jacobian(tables):
+def sph_harmonics_s2_jacobian(tables, even=False):
     """Analytic derivatives of the harmonic basis w.r.t. (phi1, phi2),
     from the tables that sph_harmonics_s2 returned with the values.
 
     phi1 is the colatitude from the first axis, phi2 the azimuth in the
     plane of the second and third axes.  Returns (dY_dphi1, dY_dphi2),
-    each shaped like the value matrix.  At the poles the azimuthal
-    chain-rule entries are taken at their finite limits.
+    each shaped like the value matrix of the same even flag.  At the
+    poles the azimuthal chain-rule entries are taken at their finite
+    limits.
     """
     L = tables.L
-    lay = _basis_layout(L)
+    lay = _basis_layout(L, even)
     d1 = _schmidt_theta_deriv(L, tables.q)[lay.rows]
     d1 *= lay.coef
     d1 *= tables.trig[lay.trig_rows]

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sphdesign import criteria, polytopes
+from sphdesign import criteria, polytopes, specfun
 from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
                                 psi_coefficients, psi_eval,
-                                symmetric_row_mask, variational_value,
+                                variational_value,
                                 variational_value_and_param_gradient,
                                 variational_values,
                                 weyl_jacobian, weyl_residual,
@@ -17,10 +17,12 @@ from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
 from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
                               InvalidPointError)
 from sphdesign.pointset import (ParamVector, PointSet, _free_slots,
-                                _points_and_chain, n_free,
+                                _points_and_chain, _s2_param_columns, n_free,
                                 normalize_pointset, param_to_points,
                                 points_to_param)
-from sphdesign.specfun import dim_harmonic, jacobi_deriv, row_degrees
+from sphdesign.specfun import (_basis_layout, dim_harmonic, jacobi_deriv,
+                               row_degrees, sph_harmonics_s2,
+                               sph_harmonics_s2_jacobian)
 from sphdesign.summation import comp_sum
 from test_pointset import (_angles_to_points, _point_recurrence,
                            _tables_as_floats)
@@ -32,6 +34,11 @@ def _random_set(d, N, seed=0, symmetric=False):
     c = rng.standard_normal((reps, d + 1))
     c /= np.linalg.norm(c, axis=1)[:, None]
     return PointSet(d=d, coords=c, symmetric=symmetric)
+
+
+def _even_rows(t):
+    """Mask of the even-degree rows of the full residual of degree t."""
+    return row_degrees(t) % 2 == 0
 
 
 def _a0_by_quadrature(spec):
@@ -217,8 +224,10 @@ class TestBlockedPairValues:
     @staticmethod
     def _check(monkeypatch, X, spec):
         # the matrix handed to the one comp_sum, and V, against one pass
+        # (built first: a blocked _value_from_gram overwrites g)
         _, g = criteria._expanded_gram(X.coords, X.symmetric)
         N = g.shape[0]
+        expect = _one_pass_values(g, spec)
         seen = []
 
         def capture(vals):
@@ -226,7 +235,6 @@ class TestBlockedPairValues:
             return comp_sum(vals)
         monkeypatch.setattr(criteria, "comp_sum", capture)
         v = criteria._value_from_gram(g, spec)
-        expect = _one_pass_values(g, spec)
         assert len(seen) == 1 and seen[0].shape == (N, N)
         assert np.array_equal(seen[0], expect)
         assert v.hex() == (comp_sum(expect) / (N * N)).hex()
@@ -513,11 +521,15 @@ class TestWeylResidual:
                 assert res.weights == a0
 
     def test_mask_matches_degree_loop(self):
-        # the per-degree loop the row-degree array replaced
+        # the per-degree loop the row-degree array replaced; the even
+        # layout is the full layout at those rows
         for t in (1, 2, 5, 12):
             ref = np.concatenate([np.full(2 * ell + 1, ell % 2 == 0)
                                   for ell in range(1, t + 1)])
-            assert symmetric_row_mask(t).tobytes() == ref.tobytes()
+            assert _even_rows(t).tobytes() == ref.tobytes()
+            for full, even in zip(_basis_layout(t), _basis_layout(t, True)):
+                assert even.dtype == full.dtype
+                assert even.tobytes() == full[ref].tobytes()
 
     def test_symmetric_pointset_expansion(self):
         X = _random_set(2, 8, 8, symmetric=True)
@@ -532,7 +544,7 @@ class TestWeylResidual:
         t = 6
         full = weyl_residual(X, t)
         red = weyl_residual_reduced(X, t)
-        mask = symmetric_row_mask(t)
+        mask = _even_rows(t)
         assert np.allclose(red.r, full.r[mask], atol=1e-12)
         # odd rows cancel identically
         assert np.max(np.abs(full.r[~mask])) < 1e-12
@@ -583,13 +595,11 @@ class TestWeylResidual:
     def test_jacobian_matches_column_loop(self, N, symmetric):
         # reference: the per-column copy it replaced; the result must be
         # C-contiguous, since the BLAS path of A.T @ (w A) depends on it
-        from sphdesign.specfun import (sph_harmonics_s2,
-                                       sph_harmonics_s2_jacobian)
         Y, _ = normalize_pointset(_random_set(2, N, 9, symmetric=symmetric))
         t = 5
         d1, d2 = sph_harmonics_s2_jacobian(sph_harmonics_s2(t, Y.coords)[1])
         if symmetric:
-            mask = symmetric_row_mask(t)
+            mask = _even_rows(t)
             d1, d2 = 2.0 * d1[mask], 2.0 * d2[mask]
         n = points_to_param(Y).values.size
         ref = np.empty((d1.shape[0], n))
@@ -663,3 +673,112 @@ class TestWeylResidual:
                                                symmetric), t).r)
                 assert np.allclose(A[:, s], (r[0] - r[1]) / (2.0 * h),
                                    rtol=1e-6, atol=1e-7)
+
+
+def _one_pass_sums(t, coords, even=False):
+    """Row sums of the whole harmonic value table, or of its even-degree
+    rows (the masked full table): the Weyl sums without row blocks."""
+    values = sph_harmonics_s2(t, coords)[0]
+    if even:
+        values = values[_even_rows(t)]
+    return comp_sum(values, axis=1)
+
+
+class TestBlockedWeylSums:
+    """A harmonic value table of more than _PAIR_BLOCK elements is formed
+    and summed in row blocks; the sums and tables keep the bits of one
+    pass over the whole table."""
+
+    BLOCK = 64
+
+    @staticmethod
+    def _cases(X, t):
+        # (residual function, points the sums run over, even rows alone)
+        yield weyl_residual, X.expanded(), False
+        if X.symmetric:
+            yield weyl_residual_reduced, X.coords, True
+
+    def _check(self, monkeypatch, X, t):
+        for residual, coords, even in self._cases(X, t):
+            expect = _one_pass_sums(t, coords, even)
+            ref_tables = sph_harmonics_s2(t, coords)[1]
+            shapes, one_pass = [], []
+
+            def capture(values, axis=None):
+                shapes.append(np.shape(values))
+                return comp_sum(values, axis=axis)
+
+            def counted(*args):
+                one_pass.append(args)
+                return sph_harmonics_s2(*args)
+            with monkeypatch.context() as m:
+                m.setattr(criteria, "comp_sum", capture)
+                m.setattr(specfun, "sph_harmonics_s2", counted)
+                res = residual(X, t)
+            r = res.r / 2.0 if even else res.r
+            assert r.tobytes() == expect.tobytes()
+            assert res.tables.q.tobytes() == ref_tables.q.tobytes()
+            assert res.tables.trig.tobytes() == ref_tables.trig.tobytes()
+            M = coords.shape[0]
+            if expect.size * M <= criteria._PAIR_BLOCK:
+                assert len(one_pass) == 1 and shapes == [(expect.size, M)]
+            else:
+                # blocks of at most BLOCK elements (one row if a row is
+                # longer) that cover every row once, in order
+                assert not one_pass
+                assert all(n == M and k * n <= max(criteria._PAIR_BLOCK, M)
+                           for k, n in shapes)
+                assert sum(k for k, _ in shapes) == expect.size
+
+    # N = 1 and 2 in one block and in several, blocks that divide the
+    # rows (t = 7, N = 7: 63 rows in blocks of 9), ragged last blocks,
+    # and one-row blocks (N above the block size)
+    @pytest.mark.parametrize("N, t", [(1, 1), (1, 10), (2, 4), (2, 5),
+                                      (4, 7), (7, 7), (16, 3), (65, 2),
+                                      (70, 6)])
+    def test_plain_sets_match_one_pass(self, monkeypatch, N, t):
+        monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
+        self._check(monkeypatch, _random_set(2, N, N + t), t)
+
+    # plain and reduced residuals of symmetric sets: 1, 2, 9 and 40
+    # representatives
+    @pytest.mark.parametrize("N, t", [(2, 2), (2, 12), (4, 6), (18, 5),
+                                      (18, 9), (80, 4)])
+    def test_symmetric_sets_match_one_pass(self, monkeypatch, N, t):
+        monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
+        self._check(monkeypatch, _random_set(2, N, N + t, symmetric=True), t)
+
+    # the module's own block: 35 x 18 (gen_s2's LM) in one pass, random
+    # 222 at t = 20 in blocks of 147 rows, and a symmetric set whose
+    # reduced table is blocked too
+    @pytest.mark.parametrize("N, t, symmetric", [(18, 5, True),
+                                                 (222, 20, False),
+                                                 (400, 30, True)])
+    def test_module_block_matches_one_pass(self, monkeypatch, N, t,
+                                           symmetric):
+        assert criteria._PAIR_BLOCK == 1 << 15
+        self._check(monkeypatch, _random_set(2, N, 5, symmetric=symmetric), t)
+
+
+class TestReducedEvenRows:
+    """The reduced residual and its Jacobian build only the even-degree
+    rows, with the bits of the masked full table."""
+
+    @pytest.mark.parametrize("t", [1, 2, 3, 4, 5, 6, 7, 20])
+    @pytest.mark.parametrize("reps", [1, 2, 9])
+    def test_matches_masked_full_table(self, t, reps):
+        X = _random_set(2, 2 * reps, 17 * t + reps, symmetric=True)
+        mask = _even_rows(t)
+        values, tables = sph_harmonics_s2(t, X.coords)
+        d1, d2 = sph_harmonics_s2_jacobian(tables)
+        even, _ = sph_harmonics_s2(t, X.coords, even=True)
+        e1, e2 = sph_harmonics_s2_jacobian(tables, even=True)
+        assert even.tobytes() == values[mask].tobytes()
+        assert e1.tobytes() == d1[mask].tobytes()
+        assert e2.tobytes() == d2[mask].tobytes()
+        res = weyl_residual_reduced(X, t)
+        assert res.r.tobytes() == (
+            2.0 * comp_sum(values[mask], axis=1)).tobytes()
+        A = weyl_jacobian(res)
+        assert A.tobytes() == _s2_param_columns(
+            2.0 * d1[mask], 2.0 * d2[mask]).tobytes()

@@ -1,6 +1,7 @@
 """Equal-weight quadrature and the design verdict."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -83,9 +84,9 @@ class TestVerify:
         X = _random_set(2, 9, 4)
         Y = PointSet(d=2, coords=X.coords, symmetric=True)
         rep = verify_design(Y, 7)
-        from sphdesign.criteria import weyl_residual, symmetric_row_mask
-        r = weyl_residual(Y, 7).r
-        assert np.max(np.abs(r[~symmetric_row_mask(7)])) < 1e-12 * Y.N
+        r = criteria.weyl_residual(Y, 7).r
+        odd = specfun.row_degrees(7) % 2 == 1
+        assert np.max(np.abs(r[odd])) < 1e-12 * Y.N
 
     def test_d3_design_verdict(self):
         rep = verify_design(polytopes.cell24(), 5)
@@ -160,3 +161,32 @@ class TestVerify:
         X = _random_set(2, 30, 11)
         assert verify_design(X, 1, tolerance=10.0).is_design
         assert not verify_design(X, 1, tolerance=DEFAULT_TOL).is_design
+
+
+def _traced_peak_mb(fn):
+    """tracemalloc peak of one call of fn, in MB (10^6 bytes), after a
+    first call outside the trace fills the lazy caches."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """S^2 verification of a random N = 1302 set at t = 50: the Weyl sums
+    are formed in row blocks from the 13.8 MB Schmidt table, and the
+    pair sums overwrite one 13.6 MB Gram matrix.  Holding the 27.1 MB
+    value table and its products, and a second N x N array, peaked at
+    69.0 MB in both weyl_residual and verify_design."""
+
+    X = _random_set(2, 1302, 50)
+
+    def test_weyl_residual_peak(self):
+        assert _traced_peak_mb(lambda: criteria.weyl_residual(self.X, 50)) \
+            <= 24.0
+
+    def test_verify_design_peak(self):
+        assert _traced_peak_mb(lambda: verify_design(self.X, 50)) <= 40.0
