@@ -248,18 +248,14 @@ def _weyl_sums(t, coords, even=False):
     alone if even) at the (M, 3) array coords, and the tables they came
     from.
 
-    A value table of at most _PAIR_BLOCK elements comes whole from
-    sph_harmonics_s2.  A larger one is never held whole: its rows are
-    formed from the tables and summed in blocks of at most _PAIR_BLOCK
-    elements.  Values are elementwise and comp_sum gives
-    each row the bits it has alone, so the sums have the bits of one
-    pass over the whole table.
+    The value table is never held whole: its rows are formed from the
+    tables and summed in blocks of at most _PAIR_BLOCK elements (one
+    block if the table fits).  Values are elementwise and comp_sum
+    gives each row the bits it has alone, so the sums have the bits of
+    one pass over the whole table.
     """
     lay = specfun._basis_layout(t, even)  # refuses t before any table
     M = coords.shape[0]
-    if lay.rows.size * M <= _PAIR_BLOCK:
-        values, tables = specfun.sph_harmonics_s2(t, coords, even)
-        return comp_sum(values, axis=1), tables
     tables = specfun._harmonic_tables(t, coords)
     sums = np.empty(lay.rows.size)
     step = max(1, _PAIR_BLOCK // M)

@@ -6,8 +6,8 @@ The Jacobi functions take alpha, beta and the degree n
 unit vectors: sph_harmonics_s2(L, coords) returns the values and the
 tables they were built from, and sph_harmonics_s2_jacobian takes those
 tables.  The harmonic basis holds degrees 1..L, degree l in rows
-l^2 - 1 .. (l+1)^2 - 2 (row_degrees); with even=True both build the
-even-degree rows alone.
+l^2 - 1 .. (l+1)^2 - 2 (row_degrees); with even=True the derivatives
+are built for the even-degree rows alone.
 
 All harmonic evaluation uses stable three-term recurrences in double
 precision; every ratio of gamma functions goes through log-gamma
@@ -361,17 +361,16 @@ def _harmonic_values(tables, lay, rows=slice(None)):
     return out
 
 
-def sph_harmonics_s2(L, coords, even=False):
+def sph_harmonics_s2(L, coords):
     """The real orthonormal harmonic basis of degrees 1..L at the rows
-    of the (M, 3) array coords of unit vectors; the even degrees alone
-    if even.
+    of the (M, 3) array coords of unit vectors.
 
     Returns (values, tables).  values has one row per basis function;
     the block of degree l holds 2l+1 rows ordered sin(l phi2)..sin(phi2),
     the zonal term, then cos(phi2)..cos(l phi2).  tables are the tables
     the values were built from, for reuse by sph_harmonics_s2_jacobian.
     """
-    lay = _basis_layout(L, even)  # refuses L before any table is built
+    lay = _basis_layout(L)  # refuses L before any table is built
     tables = _harmonic_tables(L, coords)
     return _harmonic_values(tables, lay), tables
 
@@ -382,9 +381,9 @@ def sph_harmonics_s2_jacobian(tables, even=False):
 
     phi1 is the colatitude from the first axis, phi2 the azimuth in the
     plane of the second and third axes.  Returns (dY_dphi1, dY_dphi2),
-    each shaped like the value matrix of the same even flag.  At the
-    poles the azimuthal chain-rule entries are taken at their finite
-    limits.
+    each shaped like the value matrix, or holding its even-degree rows
+    alone if even.  At the poles the azimuthal chain-rule entries are
+    taken at their finite limits.
     """
     L = tables.L
     lay = _basis_layout(L, even)

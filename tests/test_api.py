@@ -46,7 +46,7 @@ SIGNATURES = {
     "row_degrees": ("L",),
     "separation": ("X",),
     "solve_lsq": ("X0", "t"),
-    "sph_harmonics_s2": ("L", "coords", "even"),
+    "sph_harmonics_s2": ("L", "coords"),
     "sph_harmonics_s2_jacobian": ("tables", "even"),
     "variational_value": ("X", "spec"),
     "verify_design": ("X", "t_max", "tolerance"),

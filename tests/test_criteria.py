@@ -378,8 +378,17 @@ class TestParamGradientOnePass:
     @pytest.mark.parametrize("kind", [PSI3])
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("symmetric", [False, True])
-    def test_bitwise_equal_to_slot_loop(self, kind, d, symmetric):
-        rng = np.random.default_rng(d * 10 + KINDS.index(kind))
+    def test_bitwise_equal_to_slot_loop(self, monkeypatch, kind, d,
+                                        symmetric):
+        # a block of 64 elements sends every N > 8 through the blocked
+        # pair sums, which overwrite the Gram matrix that psi' also reads
+        for block in (1 << 15, 64):
+            monkeypatch.setattr(criteria, "_PAIR_BLOCK", block)
+            self._check(np.random.default_rng(d * 10 + KINDS.index(kind)),
+                        d, symmetric)
+
+    @staticmethod
+    def _check(rng, d, symmetric):
         for N, t in [(2, 1), (6, 2), (12, 3), (21, 4) if not symmetric
                      else (22, 5)]:
             p0 = ParamVector(d=d, N=N, symmetric=symmetric,
@@ -702,33 +711,25 @@ class TestBlockedWeylSums:
         for residual, coords, even in self._cases(X, t):
             expect = _one_pass_sums(t, coords, even)
             ref_tables = sph_harmonics_s2(t, coords)[1]
-            shapes, one_pass = [], []
+            shapes = []
 
             def capture(values, axis=None):
                 shapes.append(np.shape(values))
                 return comp_sum(values, axis=axis)
-
-            def counted(*args):
-                one_pass.append(args)
-                return sph_harmonics_s2(*args)
             with monkeypatch.context() as m:
                 m.setattr(criteria, "comp_sum", capture)
-                m.setattr(specfun, "sph_harmonics_s2", counted)
                 res = residual(X, t)
             r = res.r / 2.0 if even else res.r
             assert r.tobytes() == expect.tobytes()
             assert res.tables.q.tobytes() == ref_tables.q.tobytes()
             assert res.tables.trig.tobytes() == ref_tables.trig.tobytes()
-            M = coords.shape[0]
-            if expect.size * M <= criteria._PAIR_BLOCK:
-                assert len(one_pass) == 1 and shapes == [(expect.size, M)]
-            else:
-                # blocks of at most BLOCK elements (one row if a row is
-                # longer) that cover every row once, in order
-                assert not one_pass
-                assert all(n == M and k * n <= max(criteria._PAIR_BLOCK, M)
-                           for k, n in shapes)
-                assert sum(k for k, _ in shapes) == expect.size
+            # blocks of at most _PAIR_BLOCK elements (one row if a row
+            # is longer) that cover every row once, in order; a table
+            # that fits is one block
+            M, rows = coords.shape[0], expect.size
+            step = max(1, criteria._PAIR_BLOCK // M)
+            assert shapes == [(min(step, rows - i), M)
+                              for i in range(0, rows, step)]
 
     # N = 1 and 2 in one block and in several, blocks that divide the
     # rows (t = 7, N = 7: 63 rows in blocks of 9), ragged last blocks,
@@ -748,7 +749,7 @@ class TestBlockedWeylSums:
         monkeypatch.setattr(criteria, "_PAIR_BLOCK", self.BLOCK)
         self._check(monkeypatch, _random_set(2, N, N + t, symmetric=True), t)
 
-    # the module's own block: 35 x 18 (gen_s2's LM) in one pass, random
+    # the module's own block: 35 x 18 (gen_s2's LM) in one block, random
     # 222 at t = 20 in blocks of 147 rows, and a symmetric set whose
     # reduced table is blocked too
     @pytest.mark.parametrize("N, t, symmetric", [(18, 5, True),
@@ -771,7 +772,7 @@ class TestReducedEvenRows:
         mask = _even_rows(t)
         values, tables = sph_harmonics_s2(t, X.coords)
         d1, d2 = sph_harmonics_s2_jacobian(tables)
-        even, _ = sph_harmonics_s2(t, X.coords, even=True)
+        even = specfun._harmonic_values(tables, _basis_layout(t, True))
         e1, e2 = sph_harmonics_s2_jacobian(tables, even=True)
         assert even.tobytes() == values[mask].tobytes()
         assert e1.tobytes() == d1[mask].tobytes()
