@@ -3,13 +3,15 @@
 Four integers matter per degree: the linear-programming lower bound
 N*, its refinement N+ through the largest Jacobi zero, and the counts
 N-hat (general) and N-bar (symmetric) at which the number of free
-angles reaches the number of design conditions.
+angles reaches the number of design conditions.  N*, N-hat and N-bar
+are exact integers; N+ is a closed form in the incomplete beta
+function of a double-precision zero.
 """
 
 from dataclasses import dataclass
-from math import comb, ceil, pi, lgamma, exp, log
+from math import comb, ceil
 
-from scipy.integrate import quad
+from scipy.special import betainc
 
 from . import specfun
 from .errors import InvalidDimensionError, InvalidParameterError
@@ -35,12 +37,17 @@ def n_star(d, t):
 
 
 def n_plus(d, t):
-    """Refined lower bound via the largest zero of a Jacobi polynomial.
+    """Refined lower bound area(S^d) / area(cap) = 2 / I_x(alpha+1, 1/2).
 
-    gamma is the largest zero of the degree-t polynomial with both
-    parameters alpha + 1, alpha = (d-2)/2; validated against all
-    tabulated values for d = 2 and d = 3.  The ratio of surface areas
-    becomes an incomplete-beta style integral over [gamma, 1].
+    gamma is the largest zero of the degree-t Jacobi polynomial with
+    both parameters alpha + 1, alpha = (d-2)/2; the cap z >= gamma under
+    the weight (1-z^2)^alpha is, by s = 1-z^2, a half-sphere times the
+    regularized incomplete beta function I at x = (1-gamma)(1+gamma).
+    Validated against all tabulated values for d = 2 and d = 3.  The
+    double-precision gamma limits it: a relative error of about
+    (alpha+1) 2^-53 / (1-gamma) moves the ceiling of an exact ratio that
+    close above an integer (5433178343.026 at d = 4, t = 915 gives
+    5433178343).
     """
     if d < 1:
         raise InvalidDimensionError("d must be >= 1")
@@ -54,13 +61,8 @@ def n_plus(d, t):
         return t + 1
     alpha = 0.5 * (d - 2.0)
     gamma = specfun.jacobi_largest_zero(alpha + 1.0, alpha + 1.0, t)
-    if d == 2:
-        return _iceil(2.0 / (1.0 - gamma))
-    # sqrt(pi) * Gamma(d/2) / Gamma((d+1)/2)
-    total = exp(0.5 * log(pi) + lgamma(0.5 * d) - lgamma(0.5 * (d + 1.0)))
-    cap, _ = quad(lambda z: (1.0 - z * z) ** alpha, gamma, 1.0,
-                  epsabs=1e-13, epsrel=1e-13)
-    return _iceil(total / cap)
+    x = (1.0 - gamma) * (1.0 + gamma)
+    return _iceil(2.0 / betainc(alpha + 1.0, 0.5, x))
 
 
 def n_hat(d, t):
@@ -69,7 +71,7 @@ def n_hat(d, t):
         raise InvalidDimensionError("d must be >= 1")
     if t < 1:
         raise InvalidParameterError("t must be >= 1")
-    return _iceil((specfun.dim_poly(d, t) + d * (d + 1) // 2 - 1) / d)
+    return -(-(specfun.dim_poly(d, t) + d * (d + 1) // 2 - 1) // d)
 
 
 def n_bar(d, t):
@@ -79,7 +81,7 @@ def n_bar(d, t):
         raise InvalidDimensionError("d must be >= 1")
     if t < 1 or t % 2 == 0:
         raise InvalidParameterError("symmetric counts need odd t >= 1")
-    return 2 * _iceil((m_sym(d, t) + d * (d + 1) // 2) / d)
+    return 2 * -(-(m_sym(d, t) + d * (d + 1) // 2) // d)
 
 
 # degrees on S^2 where a design with one point fewer than n_hat is
@@ -125,9 +127,6 @@ class BoundsRow:
     n_hat: int
     n_bar: int  # -1 for even t, where the symmetric count is undefined
     dim_poly: int
-
-    def efficiency(self, N):
-        return efficiency(self.d, self.t, N)
 
 
 def bounds_row(d, t):

@@ -146,12 +146,6 @@ def _gram(coords):
     return g
 
 
-def _expanded_gram(coords, symmetric):
-    """Coordinates on S^d, antipodes added if symmetric, and their Gram."""
-    coords = np.vstack([coords, -coords]) if symmetric else coords
-    return coords, _gram(coords)
-
-
 def _value_from_gram(g, spec):
     """(1/N^2) sum_{i,j} psi(g_ij), psi(1) on the diagonal.
 
@@ -167,6 +161,8 @@ def _value_from_gram(g, spec):
     pass over g.
     """
     N = g.shape[0]
+    # one block would give the same bits, but its slicing costs a few
+    # us a call, which shows in the d > 2 descent at N = 7
     if N * N <= _PAIR_BLOCK:
         vals = psi_eval(spec, g)
     else:
@@ -190,8 +186,7 @@ def variational_value(X, spec):
     """
     if X.d != spec.d:
         raise InvalidDimensionError("point set and psi dimension differ")
-    _, g = _expanded_gram(X.coords, X.symmetric)
-    return _value_from_gram(g, spec)
+    return _value_from_gram(_gram(X.expanded()), spec)
 
 
 def variational_values(X, t):
@@ -209,7 +204,9 @@ def variational_value_and_param_gradient(p, t):
     """
     spec = make_psi(PSI3, p.d, t)
     coords, chain = _points_and_chain(p)
-    coords, g = _expanded_gram(coords, p.symmetric)
+    if p.symmetric:
+        coords = np.vstack([coords, -coords])
+    g = _gram(coords)
     # psi' first: the value may overwrite g
     w = specfun.jacobi_deriv(spec.alpha + 1.0, spec.alpha, t, g)
     value = _value_from_gram(g, spec)

@@ -230,8 +230,6 @@ def _schmidt_table(L, x):
     u = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     q = np.empty(((L + 1) * (L + 2) // 2, x.size))
     q[0] = 1.0
-    if L == 0:
-        return q
     (diag, cd), (sub, sub_from, cs), c, steps = _schmidt_coefficients(L)
     q[diag] = np.cumprod(cd * u, axis=0)
     q[sub] = (cs * x) * q[sub_from]
@@ -262,12 +260,9 @@ def _schmidt_theta_deriv(L, q):
     """Colatitude derivatives dQ_l^k/dtheta from the Q table itself."""
     dq = np.empty_like(q)
     dq[0] = 0.0
-    if L == 0:
-        return dq
     (zr, zc), (mr, lo, hi), (tr, tc) = _theta_coefficients(L)
     dq[zr] = zc * q[zr + 1]
-    if mr.size:
-        dq[mr] = 0.5 * (lo * q[mr - 1] - hi * q[mr + 1])
+    dq[mr] = 0.5 * (lo * q[mr - 1] - hi * q[mr + 1])
     dq[tr] = 0.5 * (tc * q[tr - 1])
     return dq
 

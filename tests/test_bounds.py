@@ -1,12 +1,17 @@
 """Point-count bounds against published tables and direct oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+import sphdesign
 from sphdesign.bounds import (BoundsRow, bounds_row, efficiency, m_sym, n_bar,
                               n_hat, n_plus, n_star)
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
@@ -56,6 +61,20 @@ class TestLowerBounds:
                     expect = total / cap
                 assert n_plus(d, t) == math.ceil(expect - 1e-9)
 
+    # ceilings of area(S^d) / area(cap) at 60 digits (mpmath: the zero
+    # by the three-term recurrence and Newton steps, then betainc); the
+    # exact ratios lie 0.04 to 0.06 from an integer, where adaptive
+    # quadrature of the cap missed by one
+    @pytest.mark.parametrize("d, t, expect", [
+        (5, 137, 49844234),      # 49844233.9403
+        (5, 145, 65804881),      # 65804880.9545
+        (7, 109, 1990774768),    # 1990774767.9494
+        (3, 918, 40446244),      # 40446243.0604
+        (4, 900, 5086494982),    # 5086494981.0479
+    ])
+    def test_n_plus_against_high_precision(self, d, t, expect):
+        assert n_plus(d, t) == expect
+
     def test_n_plus_on_the_circle(self):
         # the regular (t+1)-gon is a t-design, so a bound above t + 1
         # is false; quadrature of the singular weight (1 - z^2)^(-1/2)
@@ -102,6 +121,16 @@ class TestFreedomCounts:
     def test_specific_values(self):
         assert n_hat(3, 13) == 340
         assert n_bar(3, 15) == 458
+
+    @pytest.mark.parametrize("d, t", [(7, 638), (7, 695), (12, 999),
+                                      (12, 1000)])
+    def test_exact_beyond_double_precision(self, d, t):
+        # the counts exceed 2^53 here, where a float quotient rounds
+        k = dim_poly(d, t) + d * (d + 1) // 2 - 1
+        assert n_hat(d, t) == math.ceil(Fraction(k, d))
+        if t % 2:
+            k = m_sym(d, t) + d * (d + 1) // 2
+            assert n_bar(d, t) == 2 * math.ceil(Fraction(k, d))
 
     def test_efficiency(self):
         # at N = n_hat the efficiency is close to 1 by construction
@@ -156,4 +185,16 @@ def test_bounds_row():
     assert row.dim_poly == 36
     even = bounds_row(2, 4)
     assert even.n_bar == -1
-    assert row.efficiency(row.n_hat) == efficiency(2, 5, row.n_hat)
+
+
+def test_import_leaves_out_quadrature():
+    # the bounds are closed forms; no module of the package needs
+    # scipy.integrate
+    src = os.path.dirname(os.path.dirname(sphdesign.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, sphdesign; "
+         "print('scipy.integrate' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

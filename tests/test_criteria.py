@@ -225,7 +225,7 @@ class TestBlockedPairValues:
     def _check(monkeypatch, X, spec):
         # the matrix handed to the one comp_sum, and V, against one pass
         # (built first: a blocked _value_from_gram overwrites g)
-        _, g = criteria._expanded_gram(X.coords, X.symmetric)
+        g = criteria._gram(X.expanded())
         N = g.shape[0]
         expect = _one_pass_values(g, spec)
         seen = []

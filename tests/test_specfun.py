@@ -8,11 +8,11 @@ from scipy.integrate import quad
 from scipy.special import eval_jacobi, roots_jacobi
 
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
-from sphdesign.specfun import (dim_harmonic, dim_poly, jacobi_at_one,
-                               jacobi_batch, jacobi_deriv, jacobi_eval,
-                               jacobi_largest_zero, legendre_norm_batch,
-                               row_degrees, sph_harmonics_s2,
-                               sph_harmonics_s2_jacobian)
+from sphdesign.specfun import (_schmidt_theta_deriv, dim_harmonic, dim_poly,
+                               jacobi_at_one, jacobi_batch, jacobi_deriv,
+                               jacobi_eval, jacobi_largest_zero,
+                               legendre_norm_batch, row_degrees,
+                               sph_harmonics_s2, sph_harmonics_s2_jacobian)
 
 
 def _monomial_count(d, t):
@@ -236,6 +236,10 @@ class TestHarmonicsAgainstLoops:
         values, d1, d2 = _oracle_harmonics(L, coords)
         got, tables = sph_harmonics_s2(L, coords)
         assert _bitwise_equal(got, values)
+        # the tables too, the degree-0 row alone at L = 0
+        q, dq, _ = _oracle_tables(L, coords)
+        assert _bitwise_equal(tables.q, q)
+        assert _bitwise_equal(_schmidt_theta_deriv(L, tables.q), dq)
         j1, j2 = sph_harmonics_s2_jacobian(sph_harmonics_s2(L, coords)[1])
         assert _bitwise_equal(j1, d1)
         assert _bitwise_equal(j2, d2)
@@ -274,20 +278,21 @@ class TestHarmonics:
 
     def test_orthonormality_by_quadrature(self):
         # Gauss-Legendre x uniform azimuth integrates products exactly
-        L = 6
-        nodes, weights = np.polynomial.legendre.leggauss(2 * L + 2)
-        M = 2 * L + 3
-        phi = 2.0 * np.pi * np.arange(M) / M
-        x = np.repeat(nodes, M)
-        p = np.tile(phi, nodes.size)
-        s = np.sqrt(1.0 - x * x)
-        coords = np.stack([x, s * np.cos(p), s * np.sin(p)], axis=1)
-        # the degree-0 harmonic, the constant 1, is not in the basis
-        Y = np.vstack([np.ones((1, coords.shape[0])),
-                       sph_harmonics_s2(L, coords)[0]])
-        w = np.repeat(weights, M) / (2.0 * M)
-        G = (Y * w) @ Y.T
-        assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
+        for L in (0, 1, 6):
+            nodes, weights = np.polynomial.legendre.leggauss(2 * L + 2)
+            M = 2 * L + 3
+            phi = 2.0 * np.pi * np.arange(M) / M
+            x = np.repeat(nodes, M)
+            p = np.tile(phi, nodes.size)
+            s = np.sqrt(1.0 - x * x)
+            coords = np.stack([x, s * np.cos(p), s * np.sin(p)], axis=1)
+            # the degree-0 harmonic, the constant 1, is not in the basis
+            Y = np.vstack([np.ones((1, coords.shape[0])),
+                           sph_harmonics_s2(L, coords)[0]])
+            w = np.repeat(weights, M) / (2.0 * M)
+            G = (Y * w) @ Y.T
+            assert G.shape == ((L + 1) ** 2,) * 2
+            assert np.allclose(G, np.eye(G.shape[0]), atol=1e-10)
 
     def test_degree0_row(self):
         # the basis starts at degree 1: degree l fills rows l^2-1..(l+1)^2-2
@@ -309,16 +314,17 @@ class TestHarmonics:
             return np.stack([np.cos(a), np.sin(a) * np.cos(b),
                              np.sin(a) * np.sin(b)], axis=1)
 
-        L = 12
-        d1, d2 = sph_harmonics_s2_jacobian(
-            sph_harmonics_s2(L, embed(phi1, phi2))[1])
         h = 1e-6
-        f1 = (sph_harmonics_s2(L, embed(phi1 + h, phi2))[0]
-              - sph_harmonics_s2(L, embed(phi1 - h, phi2))[0]) / (2 * h)
-        f2 = (sph_harmonics_s2(L, embed(phi1, phi2 + h))[0]
-              - sph_harmonics_s2(L, embed(phi1, phi2 - h))[0]) / (2 * h)
-        assert np.allclose(d1, f1, rtol=1e-5, atol=1e-5)
-        assert np.allclose(d2, f2, rtol=1e-5, atol=1e-5)
+        for L in (0, 1, 12):
+            d1, d2 = sph_harmonics_s2_jacobian(
+                sph_harmonics_s2(L, embed(phi1, phi2))[1])
+            f1 = (sph_harmonics_s2(L, embed(phi1 + h, phi2))[0]
+                  - sph_harmonics_s2(L, embed(phi1 - h, phi2))[0]) / (2 * h)
+            f2 = (sph_harmonics_s2(L, embed(phi1, phi2 + h))[0]
+                  - sph_harmonics_s2(L, embed(phi1, phi2 - h))[0]) / (2 * h)
+            assert d1.shape == d2.shape == ((L + 1) ** 2 - 1, 7)
+            assert np.allclose(d1, f1, rtol=1e-5, atol=1e-5)
+            assert np.allclose(d2, f2, rtol=1e-5, atol=1e-5)
 
     def test_rejects_wrong_dimension(self):
         with pytest.raises(InvalidDimensionError):
