@@ -125,8 +125,11 @@ def cmd_table(args):
         if X.d != args.d:
             raise SphDesignError("%s holds points on S^%d, not S^%d"
                                  % (path, X.d, args.d))
-        vs = criteria.variational_values(X, t)
-        rtr = criteria.weyl_residual(X, t).rtr if args.d == 2 else float("nan")
+        if args.d == 2:
+            res = criteria.weyl_residual(X, t)
+            vs, rtr = criteria._s2_values(res, X.N), res.rtr
+        else:
+            vs, rtr = criteria.variational_values(X, t), float("nan")
         geo = geometry.mesh_ratio(X)
         out.append(("%d,%d,%d,%d,%d,%d," + V_FMT + "," + V_FMT + "," + V_FMT
                     + ",%s," + ANGLE_FMT + "," + ANGLE_FMT + "," + RHO_FMT

@@ -7,13 +7,16 @@ A configuration is a t-design exactly when the quadratic form
 vanishes, where psi is a zonal polynomial with strictly positive
 Legendre coefficients a_ell for 1 <= ell <= t and zero mean.  Three
 standard choices are provided; generation descends on psi_3 alone.  On
-S^2 V_psi3 = a0 r^T r / N^2 over the Weyl sums r, whose constant weight
-a0 and Jacobian serve Levenberg-Marquardt iterations.
+S^2 every V is a weighted sum of squares of the Weyl sums r,
+sum_ell a_ell / (2 ell + 1) sum_k r_{ell,k}^2 / N^2; for psi_3 the
+weight is the constant a0, which with the Jacobian of r serves
+Levenberg-Marquardt iterations.  The pair sums over all N^2 inner
+products remain the view in every dimension and the L-BFGS-B objective.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import lgamma, exp
+from functools import cached_property, lru_cache
+from math import exp, lgamma, log
 
 import numpy as np
 
@@ -117,24 +120,76 @@ def psi_eval(spec, z):
     return specfun.jacobi_eval(spec.alpha + 1.0, spec.alpha, t, z) - spec.a0
 
 
-def psi_coefficients(spec):
-    """Legendre coefficients a_ell, ell = 0..t, of psi + a0.
+def _zonal_weights(spec):
+    """b_ell = a_ell / Z(d, ell), ell = 0..t, in closed form.
 
-    Computed by Gauss-Jacobi projection; a_0 equals spec.a0.
+    With alpha = (d-2)/2, lambda = (d-1)/2 and the Legendre polynomial
+    normalized to P_ell(1) = 1:
+    psi_3: b_ell = a0;
+    psi_2: b_ell = G(2alpha+2) G(t+1) G(t+alpha+1)
+                   / (G(alpha+1) G(t-ell+1) G(t+ell+2alpha+2));
+    psi_1: b_ell = e(t-1, ell) + e(t, ell), where e(n, ell) is zero
+    unless ell <= n and n - ell = 2k is even, and otherwise
+    G(lambda+1) n! / (2^n k! G(n-k+lambda+1)), the Gegenbauer
+    expansion of z^n (DLMF 18.18.17) divided by Z(d, ell).
+    G is the gamma function, evaluated through lgamma.
     """
-    from scipy.special import roots_jacobi
     t = spec.t
+    if spec.kind == PSI3:
+        return np.full(t + 1, spec.a0)
     alpha = spec.alpha
-    nodes, weights = roots_jacobi(t + 5, alpha, alpha)
-    wtot = np.sum(weights)
-    raw = psi_eval(spec, nodes) + spec.a0
-    coeffs = np.empty(t + 1)
-    pl = specfun.legendre_norm_batch(spec.d, t, nodes)
-    for ell in range(t + 1):
-        num = np.sum(weights * raw * pl[ell])
-        den = np.sum(weights * pl[ell] ** 2)
-        coeffs[ell] = num / den
-    return coeffs
+    if spec.kind == PSI2:
+        c = (lgamma(2.0 * alpha + 2.0) + lgamma(t + 1.0)
+             + lgamma(t + alpha + 1.0) - lgamma(alpha + 1.0))
+        return np.array([exp(c - lgamma(t - ell + 1.0)
+                             - lgamma(t + ell + 2.0 * alpha + 2.0))
+                         for ell in range(t + 1)])
+    lam = alpha + 0.5
+    b = np.zeros(t + 1)
+    for n in (t - 1, t):
+        c = lgamma(lam + 1.0) + lgamma(n + 1.0) - n * log(2.0)
+        for ell in range(n % 2, n + 1, 2):
+            k = (n - ell) // 2
+            b[ell] += exp(c - lgamma(k + 1.0) - lgamma(n - k + lam + 1.0))
+    return b
+
+
+def psi_coefficients(spec):
+    """Legendre coefficients a_ell, ell = 0..t, of psi + a0, in closed
+    form (_zonal_weights); a_0 equals spec.a0 to rounding.
+
+    a_ell = Z(d, ell) b_ell with the dimension Z of the degree-ell
+    harmonics.  Every a_ell with 1 <= ell <= t is positive, but those
+    of psi_1 and psi_2 near ell = t fall below the smallest double at
+    high degree: on S^2 from t = 1070 and t = 540, where they are 0.
+    """
+    dims = np.array([specfun.dim_harmonic(spec.d, ell)
+                     for ell in range(spec.t + 1)], dtype=float)
+    return dims * _zonal_weights(spec)
+
+
+@lru_cache(maxsize=None)
+def _s2_row_weights(t):
+    """(3, (t+1)^2 - 1) read-only array: row k holds b_ell = a_ell /
+    (2 ell + 1) of KINDS[k] at degree t, per row of the Weyl sums."""
+    deg = specfun.row_degrees(t)
+    w = np.stack([_zonal_weights(make_psi(k, 2, t))[deg] for k in KINDS])
+    w.setflags(write=False)
+    return w
+
+
+def _s2_values(residual, N):
+    """(V_psi1, V_psi2, V_psi3) at the degree of a full Weyl residual
+    (weyl_residual) over N points:
+
+        V_psi = (1/N^2) sum_ell b_ell sum_k r_{ell,k}^2,
+
+    one correctly rounded sum of weighted squares per psi.  The terms
+    are not negative, so neither is V, and it costs no pair sum.
+    """
+    sums = comp_sum(_s2_row_weights(residual.t) * (residual.r * residual.r),
+                    axis=1)
+    return tuple((sums / (N * N)).tolist())
 
 
 def _gram(coords):
@@ -235,8 +290,9 @@ class WeylResidual:
     tables: specfun.HarmonicTables = field(repr=False, compare=False)
     reduced: bool = False
 
-    @property
+    @cached_property
     def rtr(self):
+        """r^T r, correctly rounded; summed on first read."""
         return float(comp_sum(self.r * self.r))
 
 

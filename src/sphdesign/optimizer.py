@@ -58,10 +58,11 @@ def _r_tolerance(N):
 class SolveResult:
     """Outcome of one solve at degree t.
 
-    v1, v2, v3 are the variational values of psi1, psi2, psi3.  On S^2
-    solves are judged and compared by rtr alone, so these dense N x N
-    values are computed on first read: discarded hop and refine trials
-    never pay for them.
+    v1, v2, v3 are the variational values of psi1, psi2, psi3: on S^2
+    weighted sums of squares of the Weyl sums, for d > 2 pair sums.  On
+    S^2 solves are judged and compared by rtr alone, so these values
+    are computed on first read: discarded hop and refine trials never
+    pay for them.
     """
     pointset: PointSet
     converged: bool
@@ -73,7 +74,11 @@ class SolveResult:
     @cached_property
     def variational(self):
         """(v1, v2, v3)."""
-        return criteria.variational_values(self.pointset, self.t)
+        X = self.pointset
+        if X.d == 2:
+            return criteria._s2_values(criteria.weyl_residual(X, self.t),
+                                       X.N)
+        return criteria.variational_values(X, self.t)
 
     @property
     def v1(self):

@@ -3,7 +3,8 @@
 A point set is a t-design when its equal-weight rule integrates every
 spherical polynomial of degree at most t exactly.  On S^2 this is
 checked degree by degree through Weyl sums of an orthonormal harmonic
-basis; in higher dimensions through the variational criteria, which
+basis, whose weighted squares also give the variational values; in
+higher dimensions through the variational criteria as pair sums, which
 vanish if and only if the design property holds.
 """
 
@@ -49,13 +50,13 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
 
     Reports the variational values at t_max for all three criteria and
     the largest degree whose conditions all hold.  For d = 2 the
-    decision uses scaled Weyl sums; for d > 2 the three variational
-    values per candidate degree.
+    decision uses scaled Weyl sums, and the variational values are
+    weighted sums of their squares; for d > 2 the decision uses the
+    three variational values per candidate degree, as pair sums.
 
-    Working memory on S^2 is about the larger of the Schmidt table,
+    Working memory on S^2 is about the Schmidt table,
     8 N (t_max+1)(t_max+2)/2 bytes, which the Weyl sums are formed from
-    in row blocks, and one Gram matrix of 8 N^2 bytes, which psi
-    overwrites in place; the tables are dropped before the pair sums.
+    in row blocks; no N x N array is built.
     """
     if t_max < 1:
         raise InvalidParameterError("t_max must be >= 1")
@@ -64,12 +65,10 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
         raise InvalidParameterError(
             "tolerance must be finite and >= 0, got %r" % (tolerance,))
     if X.d == 2:
-        # the residual refuses a degree above the harmonic cap before
-        # the N^2 pair sums are spent
+        # the residual refuses a degree above the harmonic cap
         res = criteria.weyl_residual(X, t_max)
         r, rtr = res.r, res.rtr
-        del res  # its harmonic tables, before the pair sums
-        v = criteria.variational_values(X, t_max)
+        v = criteria._s2_values(res, X.N)
         scaled = np.abs(r) / X.N
         # rows run by ascending degree: the first failing row ends the
         # exact degrees

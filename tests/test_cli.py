@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sphdesign
-from sphdesign import polytopes
+from sphdesign import criteria, polytopes
 from sphdesign.cli import build_parser, main
 from sphdesign.pointset import PointSet, read_pointset, write_pointset
 
@@ -84,6 +84,16 @@ class TestVerify:
         assert blob["t_claimed"] == 3
         assert blob["exactness_degree"] == 3
         assert blob["max_abs_weyl"] <= 1e-13
+
+    def test_json_values_of_an_exact_design_not_negative(self, tmp_path,
+                                                          capsys):
+        # pair sums put V3 of the antipodal pair at -3.3e-16; the Weyl
+        # sums of its exact coordinates give 0
+        path = tmp_path / "pair.txt"
+        write_pointset(polytopes.antipodal_pair(), path, t=1)
+        assert main(["verify", str(path), "--t", "1", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert min(blob["V1"], blob["V2"], blob["V3"]) >= 0.0
 
     def test_json_is_strict_for_d3(self, tmp_path, capsys):
         # Weyl sums are S^2 only: their fields are null, not NaN
@@ -351,6 +361,16 @@ class TestTable:
         # missing t=4 file: blank V columns and a warning on stderr
         row4 = lines[2].split(",")
         assert row4[6] == "" and "missing design file" in captured.err
+
+    def test_s2_values_from_weyl_sums(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a pair sum on S^2")
+        monkeypatch.setattr(criteria, "variational_value", fail)
+        write_pointset(polytopes.icosahedron(), tmp_path / "d2_t5.txt", t=5)
+        assert main(["table", "--d", "2", "--t-min", "5", "--t-max", "5",
+                     "--designs-dir", str(tmp_path)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert all(0.0 <= float(v) <= 1e-14 for v in row[6:9])
 
     def test_file_of_another_dimension(self, tmp_path, capsys):
         write_pointset(polytopes.octahedron(), tmp_path / "d3_t3.txt", t=3)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_jacobi
 
 from sphdesign import criteria, polytopes, specfun
 from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
@@ -58,6 +59,23 @@ def _a0_by_quadrature(spec):
     return num / den
 
 
+def _coefficients_by_projection(spec):
+    """Legendre coefficients of psi + a0 by Gauss-Jacobi projection on
+    t + 5 nodes: the former coefficient path, kept as an oracle.  Its
+    relative error grows with t (1.5e-3 at ell = t for psi_2, t = 20)."""
+    t, alpha = spec.t, spec.alpha
+    nodes, weights = roots_jacobi(t + 5, alpha, alpha)
+    raw = psi_eval(spec, nodes) + spec.a0
+    pl = specfun.legendre_norm_batch(spec.d, t, nodes)
+    return np.array([np.sum(weights * raw * pl[ell])
+                     / np.sum(weights * pl[ell] ** 2)
+                     for ell in range(t + 1)])
+
+
+# (d, t) pairs up to the paper's largest symmetric degree on S^2
+_LARGE_DEGREES = [(2, 100), (2, 325), (3, 50), (4, 40)]
+
+
 class TestPsiSpecs:
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,t", [(2, 1), (2, 4), (2, 9), (3, 3), (3, 8),
@@ -100,6 +118,28 @@ class TestPsiSpecs:
             coeffs = psi_coefficients(spec)
             dims = np.array([dim_harmonic(d, l) for l in range(t + 1)])
             assert np.allclose(coeffs, spec.a0 * dims, rtol=1e-9)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_closed_form_matches_projection(self, kind, d):
+        for t in range(1, 11):
+            spec = make_psi(kind, d, t)
+            ref = _coefficients_by_projection(spec)
+            got = psi_coefficients(spec)
+            assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-8
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d, t", _LARGE_DEGREES)
+    def test_closed_form_at_large_degree(self, kind, d, t):
+        # a_0 is the mean, the a_ell of ell >= 1 sum to psi(1), and each
+        # is positive: the terms of V are weighted squares
+        spec = make_psi(kind, d, t)
+        coeffs = psi_coefficients(spec)
+        assert coeffs.shape == (t + 1,)
+        assert coeffs[0] == pytest.approx(spec.a0, rel=1e-12)
+        assert math.fsum(coeffs[1:]) == pytest.approx(spec.psi_at_1,
+                                                      rel=1e-12)
+        assert np.all(coeffs[1:] > 0.0)
 
     def test_invalid(self):
         # the cache of make_psi keeps no failure: every call raises
@@ -509,6 +549,41 @@ class TestWeylResidual:
             weighted = comp_sum(w * r * r)
             assert variational_value(X, spec) == pytest.approx(
                 weighted / X.N ** 2, rel=1e-9)
+
+    def test_rtr_is_summed_once(self, monkeypatch):
+        res = weyl_residual(_random_set(2, 12, 3), 6)
+        calls = []
+
+        def counted(values, axis=None):
+            calls.append(axis)
+            return comp_sum(values, axis)
+        monkeypatch.setattr(criteria, "comp_sum", counted)
+        first = res.rtr
+        assert res.rtr == first == float(comp_sum(res.r * res.r))
+        assert calls == [None]
+
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_s2_values_are_the_weighted_identity(self, symmetric):
+        # one weighted sum of squares per psi, against the pair sums
+        X = _random_set(2, 40, 9, symmetric=symmetric)
+        t = 9
+        res = weyl_residual(X, t)
+        deg = row_degrees(t)
+        got = criteria._s2_values(res, X.N)
+        for v, kind in zip(got, KINDS):
+            spec = make_psi(kind, 2, t)
+            w = psi_coefficients(spec)[deg] / (2 * deg + 1)
+            assert type(v) is float and v >= 0.0
+            assert v == pytest.approx(comp_sum(w * res.r * res.r) / X.N ** 2,
+                                      rel=1e-13)
+            assert v == pytest.approx(variational_value(X, spec), rel=1e-10)
+
+    def test_s2_row_weights_are_shared_and_read_only(self):
+        w = criteria._s2_row_weights(7)
+        assert w is criteria._s2_row_weights(7)
+        assert w.shape == (len(KINDS), 63) and not w.flags.writeable
+        # the psi_3 row is the least-squares weight a0 itself
+        assert np.all(w[KINDS.index(PSI3)] == make_psi(PSI3, 2, 7).a0)
 
     def test_design_residual_vanishes(self):
         res = weyl_residual(polytopes.octahedron(), 3)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sphdesign import bounds as bounds_mod
-from sphdesign import geometry, optimizer
+from sphdesign import criteria, geometry, optimizer
 from sphdesign.criteria import PSI3, make_psi, variational_value
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
@@ -199,6 +199,20 @@ class TestGenerate:
         res = generate_design(2, 3, N=6, symmetric=True)
         assert res.converged and res.pointset.symmetric
         assert verify_design(res.pointset, 3).is_design
+
+    @pytest.mark.parametrize("kwargs", [{}, {"N": 6, "symmetric": True}])
+    def test_s2_values_from_weyl_sums(self, monkeypatch, kwargs):
+        # the returned design's V's are weighted Weyl sums, not pair sums
+        def fail(*args, **kw):
+            raise AssertionError("a pair sum on S^2")
+        monkeypatch.setattr(criteria, "variational_value", fail)
+        res = generate_design(2, 3, opts=SolveOptions(restarts=2), **kwargs)
+        vs = (res.v1, res.v2, res.v3)
+        monkeypatch.undo()
+        assert res.converged and min(vs) >= 0.0
+        for got, want in zip(vs, criteria.variational_values(res.pointset,
+                                                             3)):
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
 
     def test_symmetric_needs_odd_t(self):
         with pytest.raises(InvalidParameterError):

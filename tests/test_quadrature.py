@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sphdesign import criteria, polytopes, specfun
+from sphdesign import criteria, optimizer, polytopes, specfun
 from sphdesign.errors import InvalidParameterError
 from sphdesign.pointset import PointSet
 from sphdesign.quadrature import DEFAULT_TOL, verify_design
@@ -18,6 +18,11 @@ def _random_set(d, N, seed=0):
     c = rng.standard_normal((N, d + 1))
     c /= np.linalg.norm(c, axis=1)[:, None]
     return PointSet(d=d, coords=c)
+
+
+def _symmetric_set(N, seed):
+    X = _random_set(2, N // 2, seed)
+    return PointSet(d=2, coords=X.coords, symmetric=True)
 
 
 def _degree_max_weyl_s2(X, t_max):
@@ -97,13 +102,52 @@ class TestVerify:
         assert not rep6.is_design and rep6.exactness_degree == 5
 
     def test_weyl_and_variational_verdicts_agree(self):
-        # cross-check the two formulations on designs and non-designs
+        # cross-check the two formulations on designs and non-designs:
+        # the report's V's come from the Weyl sums, the pair sums are
+        # the independent view
         for X, t in [(polytopes.octahedron(), 3),
                      (polytopes.icosahedron(), 5),
                      (_random_set(2, 14, 8), 3)]:
             rep = verify_design(X, t)
             by_v = max(abs(rep.V1), abs(rep.V2), abs(rep.V3)) <= 1e-12
             assert rep.is_design == by_v
+            pair = criteria.variational_values(X, t)
+            assert rep.is_design == (max(map(abs, pair)) <= 1e-12)
+
+    @pytest.mark.parametrize("make, t", [
+        (lambda: _random_set(2, 60, 2), 8),
+        (polytopes.octahedron, 3),
+        (lambda: _symmetric_set(30, 6), 9),
+    ])
+    def test_s2_spends_no_pair_sum(self, monkeypatch, make, t):
+        def fail(*args, **kwargs):
+            raise AssertionError("a pair sum in S^2 verification")
+        monkeypatch.setattr(criteria, "variational_value", fail)
+        rep = verify_design(make(), t)
+        assert min(rep.V1, rep.V2, rep.V3) >= 0.0
+
+    @pytest.mark.parametrize("make, t", [
+        (lambda: _random_set(2, 222, 0), 20),
+        (lambda: _random_set(2, 1302, 1), 50),
+        (lambda: _symmetric_set(400, 3), 21),
+    ])
+    def test_s2_values_match_pair_sums(self, make, t):
+        X = make()
+        rep = verify_design(X, t)
+        for got, want in zip((rep.V1, rep.V2, rep.V3),
+                             criteria.variational_values(X, t)):
+            assert got == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("make, t", [
+        (polytopes.octahedron, 3), (polytopes.icosahedron, 5),
+        (lambda: optimizer.generate_design(
+            2, 5, opts=optimizer.SolveOptions(restarts=1)).pointset, 5),
+    ])
+    def test_s2_design_values_are_small_and_not_negative(self, make, t):
+        rep = verify_design(make(), t)
+        assert rep.is_design
+        for v in (rep.V1, rep.V2, rep.V3):
+            assert 0.0 <= v <= 1e-14
 
     def test_report_round_trip(self):
         import json
@@ -178,9 +222,11 @@ def _traced_peak_mb(fn):
 class TestWorkingMemory:
     """S^2 verification of a random N = 1302 set at t = 50: the Weyl sums
     are formed in row blocks from the 13.8 MB Schmidt table, and the
-    pair sums overwrite one 13.6 MB Gram matrix.  Holding the 27.1 MB
-    value table and its products, and a second N x N array, peaked at
-    69.0 MB in both weyl_residual and verify_design."""
+    variational values are weighted sums of their squares, so no N x N
+    array is built: both calls peak at 16.5 MB.  Holding the 27.1 MB
+    value table and its products, and for the variational values a
+    13.6 MB Gram matrix and a second N x N array, peaked at 69.0 MB in
+    both weyl_residual and verify_design."""
 
     X = _random_set(2, 1302, 50)
 
