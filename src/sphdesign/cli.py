@@ -121,15 +121,17 @@ def cmd_table(args):
                 t, row.n_star, row.n_plus, default_n, n, m))
             continue
         X = read_pointset(path)
-        n = n_free(args.d, X.N, X.symmetric)
         if X.d != args.d:
             raise SphDesignError("%s holds points on S^%d, not S^%d"
                                  % (path, X.d, args.d))
-        if args.d == 2:
-            res = criteria.weyl_residual(X, t)
-            vs, rtr = criteria._s2_values(res, X.N), res.rtr
-        else:
-            vs, rtr = criteria.variational_values(X, t), float("nan")
+        # n counts the file's free angles and m the table's conditions
+        if X.symmetric != args.symmetric:
+            kind = ("general", "symmetric")
+            raise SphDesignError("%s holds a %s set, the table is %s" % (
+                path, kind[X.symmetric], kind[args.symmetric]))
+        n = n_free(args.d, X.N, X.symmetric)
+        vs, res = criteria.design_values(X, t)
+        rtr = float("nan") if res is None else res.rtr
         geo = geometry.mesh_ratio(X)
         out.append(("%d,%d,%d,%d,%d,%d," + V_FMT + "," + V_FMT + "," + V_FMT
                     + ",%s," + ANGLE_FMT + "," + ANGLE_FMT + "," + RHO_FMT

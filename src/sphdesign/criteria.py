@@ -170,10 +170,12 @@ def psi_coefficients(spec):
 
 @lru_cache(maxsize=None)
 def _s2_row_weights(t):
-    """(3, (t+1)^2 - 1) read-only array: row k holds b_ell = a_ell /
-    (2 ell + 1) of KINDS[k] at degree t, per row of the Weyl sums."""
+    """(4, (t+1)^2 - 1) read-only array: row k < 3 holds b_ell = a_ell /
+    (2 ell + 1) of KINDS[k] at degree t, per row of the Weyl sums, and
+    the last row is 1.0, the weight of r^T r."""
     deg = specfun.row_degrees(t)
-    w = np.stack([_zonal_weights(make_psi(k, 2, t))[deg] for k in KINDS])
+    w = np.stack([_zonal_weights(make_psi(k, 2, t))[deg] for k in KINDS]
+                 + [np.ones(deg.size)])
     w.setflags(write=False)
     return w
 
@@ -185,11 +187,13 @@ def _s2_values(residual, N):
         V_psi = (1/N^2) sum_ell b_ell sum_k r_{ell,k}^2,
 
     one correctly rounded sum of weighted squares per psi.  The terms
-    are not negative, so neither is V, and it costs no pair sum.
+    are not negative, so neither is V, and it costs no pair sum.  The
+    same call sums r^T r and stores it as the residual's rtr.
     """
     sums = comp_sum(_s2_row_weights(residual.t) * (residual.r * residual.r),
                     axis=1)
-    return tuple((sums / (N * N)).tolist())
+    residual.rtr = float(sums[-1])
+    return tuple((sums[:-1] / (N * N)).tolist())
 
 
 def _gram(coords):
@@ -249,6 +253,17 @@ def variational_values(X, t):
     return tuple(variational_value(X, make_psi(k, X.d, t)) for k in KINDS)
 
 
+def design_values(X, t):
+    """((V_psi1, V_psi2, V_psi3), residual) of X at degree t, the one
+    source of a set's reported V's: on S^2 read (_s2_values) from the
+    full WeylResidual returned with them, for d > 2 pair sums
+    (variational_values) with residual None."""
+    if X.d == 2:
+        res = weyl_residual(X, t)
+        return _s2_values(res, X.N), res
+    return variational_values(X, t), None
+
+
 def variational_value_and_param_gradient(p, t):
     """V_psi3 at degree t and its gradient in the packed free angles of p.
 
@@ -292,7 +307,7 @@ class WeylResidual:
 
     @cached_property
     def rtr(self):
-        """r^T r, correctly rounded; summed on first read."""
+        """r^T r, correctly rounded; summed on first read or by _s2_values."""
         return float(comp_sum(self.r * self.r))
 
 

@@ -13,7 +13,6 @@ that reach the design tolerance, the one with the smallest mesh ratio.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,39 +57,18 @@ def _r_tolerance(N):
 class SolveResult:
     """Outcome of one solve at degree t.
 
-    v1, v2, v3 are the variational values of psi1, psi2, psi3: on S^2
-    weighted sums of squares of the Weyl sums, for d > 2 pair sums.  On
-    S^2 solves are judged and compared by rtr alone, so these values
-    are computed on first read: discarded hop and refine trials never
-    pay for them.
+    v1, v2, v3 are the variational values of psi1, psi2, psi3 at the
+    final points (criteria.design_values): on S^2 weighted sums of
+    squares of the Weyl sums that also give rtr, for d > 2 pair sums.
     """
     pointset: PointSet
     converged: bool
     rtr: float  # nan when d > 2
+    v1: float
+    v2: float
+    v3: float
     iterations: int
     geometry: Optional[geometry.GeometryReport]
-    t: int
-
-    @cached_property
-    def variational(self):
-        """(v1, v2, v3)."""
-        X = self.pointset
-        if X.d == 2:
-            return criteria._s2_values(criteria.weyl_residual(X, self.t),
-                                       X.N)
-        return criteria.variational_values(X, self.t)
-
-    @property
-    def v1(self):
-        return self.variational[0]
-
-    @property
-    def v2(self):
-        return self.variational[1]
-
-    @property
-    def v3(self):
-        return self.variational[2]
 
 
 def initial_points(d, N, kind, seed=0):
@@ -152,18 +130,19 @@ def _kick(X, rng, sigma):
 
 
 def _make_result(X, t, iterations):
-    """Build a SolveResult, deciding convergence from the final Weyl
-    sums (d = 2) or variational values (d > 2)."""
-    result = SolveResult(pointset=X, converged=False, rtr=float("nan"),
-                         iterations=iterations, geometry=None, t=t)
-    if X.d == 2:
-        result.rtr = criteria.weyl_residual(X, t).rtr
-        result.converged = result.rtr <= _r_tolerance(X.N)
+    """Build a SolveResult from one criteria.design_values call, deciding
+    convergence from the final Weyl sums (d = 2) or variational values
+    (d > 2)."""
+    vs, res = criteria.design_values(X, t)
+    if res is not None:
+        rtr = res.rtr
+        converged = rtr <= _r_tolerance(X.N)
     else:
-        result.converged = all(
-            abs(v) <= _V_TOL * make_psi(k, X.d, t).psi_at_1
-            for v, k in zip(result.variational, criteria.KINDS))
-    return result
+        rtr = float("nan")
+        converged = all(abs(v) <= _V_TOL * make_psi(k, X.d, t).psi_at_1
+                        for v, k in zip(vs, criteria.KINDS))
+    return SolveResult(X, converged, rtr, *vs, iterations=iterations,
+                       geometry=None)
 
 
 def minimize_variational(X0, t):
@@ -217,7 +196,6 @@ def solve_lsq(X0, t):
     nu = _LM_NU0
     its = 0
     f_hist = [f]
-    eye = np.eye(p.values.size)
     while its < _LM_MAX_ITERATIONS:
         if res.rtr <= r_tol:
             break
@@ -230,12 +208,16 @@ def solve_lsq(X0, t):
         A = criteria.weyl_jacobian(res)
         g = A.T @ (w * res.r)
         B = A.T @ (w * A)
+        diag = B.diagonal().copy()
         stepped = False
         # a singular system is rejected like a step that fails to
         # lower f, so every path raises nu and ends past 1e14
         while nu <= 1e14:
+            # B + nu I in place: the values of B + nu * I without an
+            # identity or a damped copy of B
+            np.fill_diagonal(B, diag + nu)
             try:
-                direction = np.linalg.solve(B + nu * eye, -g)
+                direction = np.linalg.solve(B, -g)
             except np.linalg.LinAlgError:
                 nu *= _LM_NU_UP
                 continue
@@ -355,12 +337,12 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
             result = minimize_variational(X0, t)
         if antipodal:
             # the expanded points are those the solve's final Weyl sums
-            # already ran over, so rtr and convergence stand
+            # already ran over, so rtr, the V's and convergence stand
             result.pointset = result.pointset.expand()
         elif best_any is None or _obj(result) < _obj(best_any):
             best_any = result
         best = _scored(result, best)
-    if d == 2 and best is not None:
+    if d == 2 and best is not None and best.geometry.rho > _RHO_REFINE:
         # the accepted design may sit in a poorly covered basin; nearby
         # basins reached by gentle kicks often have a better mesh ratio
         rng = np.random.default_rng(opts.seed + 777)
@@ -372,7 +354,4 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
     result = best if best is not None else best_any
     if result.geometry is None:
         result.geometry = geometry.mesh_ratio(result.pointset)
-    # the returned design alone gets its variational values, here
-    # rather than at the caller's first read
-    result.variational  # noqa: B018
     return result

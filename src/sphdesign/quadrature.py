@@ -48,11 +48,11 @@ def _finite_or_none(x):
 def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     """Check the design property up to degree t_max.
 
-    Reports the variational values at t_max for all three criteria and
-    the largest degree whose conditions all hold.  For d = 2 the
-    decision uses scaled Weyl sums, and the variational values are
-    weighted sums of their squares; for d > 2 the decision uses the
-    three variational values per candidate degree, as pair sums.
+    Reports the variational values at t_max for all three criteria
+    (criteria.design_values) and the largest degree whose conditions
+    all hold.  On S^2 the decision uses the scaled Weyl sums the values
+    were read from; for d > 2 it uses the three variational values per
+    candidate degree, as pair sums.
 
     Working memory on S^2 is about the Schmidt table,
     8 N (t_max+1)(t_max+2)/2 bytes, which the Weyl sums are formed from
@@ -64,20 +64,18 @@ def verify_design(X, t_max, tolerance=DEFAULT_TOL):
     if not (np.isfinite(tolerance) and tolerance >= 0.0):
         raise InvalidParameterError(
             "tolerance must be finite and >= 0, got %r" % (tolerance,))
-    if X.d == 2:
-        # the residual refuses a degree above the harmonic cap
-        res = criteria.weyl_residual(X, t_max)
-        r, rtr = res.r, res.rtr
-        v = criteria._s2_values(res, X.N)
-        scaled = np.abs(r) / X.N
+    # on S^2 the residual refuses a degree above the harmonic cap
+    v, res = criteria.design_values(X, t_max)
+    if res is not None:
+        scaled = np.abs(res.r) / X.N
         # rows run by ascending degree: the first failing row ends the
         # exact degrees
         failed = specfun.row_degrees(t_max)[scaled > tolerance]
         exact = int(failed[0]) - 1 if failed.size else t_max
-        max_abs = float(np.max(scaled))
+        max_abs = float(scaled.max())
+        rtr = res.rtr
         is_design = max_abs <= tolerance
     else:
-        v = criteria.variational_values(X, t_max)
         exact = 0
         for tt in range(1, t_max + 1):
             vs = criteria.variational_values(X, tt)

@@ -286,13 +286,14 @@ def _harmonic_tables(L, coords):
     coords = np.asarray(coords, dtype=float)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise InvalidDimensionError("spherical harmonics here require d = 2")
-    x = np.clip(coords[:, 0], -1.0, 1.0)
+    # clip's bits, without np.clip's Python-level dispatch
+    x = np.minimum(np.maximum(coords[:, 0], -1.0), 1.0)
     phi2 = np.arctan2(coords[:, 2], coords[:, 1])
     kphi = np.multiply.outer(np.arange(1, L + 1), phi2)
     trig = np.empty((2 * L + 1, coords.shape[0]))
-    trig[:L] = np.sin(kphi)[::-1]
+    np.sin(kphi[::-1], out=trig[:L])
     trig[L] = 1.0
-    trig[L + 1:] = np.cos(kphi)
+    np.cos(kphi, out=trig[L + 1:])
     return HarmonicTables(L=L, q=_schmidt_table(L, x), trig=trig)
 
 

@@ -15,8 +15,8 @@ SIGNATURES = {
     "PointSet": ("d", "coords", "symmetric"),
     "PsiSpec": ("kind", "d", "t", "a0", "psi_at_1"),
     "SolveOptions": ("restarts", "seed"),
-    "SolveResult": ("pointset", "converged", "rtr", "iterations", "geometry",
-                    "t"),
+    "SolveResult": ("pointset", "converged", "rtr", "v1", "v2", "v3",
+                    "iterations", "geometry"),
     "WeylResidual": ("t", "r", "weights", "tables", "reduced"),
     "bounds_row": ("d", "t"),
     "dim_harmonic": ("d", "ell"),

@@ -380,6 +380,25 @@ class TestTable:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("symmetric, flags, name", [
+        (True, [], "d2_t3.txt"),
+        (False, ["--symmetric"], "d2_t3_sym.txt"),
+    ])
+    def test_file_of_another_search_kind(self, tmp_path, capsys, symmetric,
+                                         flags, name):
+        # n counts free angles of the file's kind and m conditions of
+        # the table's, so the two must agree
+        X = polytopes.octahedron()
+        if symmetric:
+            X = PointSet(d=2, coords=X.coords[:3], symmetric=True)
+        write_pointset(X, tmp_path / name, t=3)
+        assert main(["table", "--d", "2", "--t-min", "3", "--t-max", "3",
+                     "--designs-dir", str(tmp_path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("name", ["missing", "file.txt"])
     def test_designs_dir_not_a_directory(self, tmp_path, capsys, name):
         (tmp_path / "file.txt").write_text("1 0 0\n")

@@ -563,13 +563,24 @@ class TestWeylResidual:
         assert calls == [None]
 
     @pytest.mark.parametrize("symmetric", [False, True])
-    def test_s2_values_are_the_weighted_identity(self, symmetric):
+    def test_s2_values_are_the_weighted_identity(self, monkeypatch,
+                                                 symmetric):
         # one weighted sum of squares per psi, against the pair sums
         X = _random_set(2, 40, 9, symmetric=symmetric)
         t = 9
         res = weyl_residual(X, t)
         deg = row_degrees(t)
+        calls = []
+
+        def counted(values, axis=None):
+            calls.append(axis)
+            return comp_sum(values, axis)
+        monkeypatch.setattr(criteria, "comp_sum", counted)
         got = criteria._s2_values(res, X.N)
+        rtr = res.rtr
+        monkeypatch.undo()
+        # r^T r comes from the same call, with the bits of its own sum
+        assert calls == [1] and rtr == float(comp_sum(res.r * res.r))
         for v, kind in zip(got, KINDS):
             spec = make_psi(kind, 2, t)
             w = psi_coefficients(spec)[deg] / (2 * deg + 1)
@@ -578,12 +589,29 @@ class TestWeylResidual:
                                       rel=1e-13)
             assert v == pytest.approx(variational_value(X, spec), rel=1e-10)
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_design_values_on_s2_are_the_weyl_view(self, symmetric):
+        # the full residual over the expanded points, and the values
+        # read from it
+        X = _random_set(2, 40, 9, symmetric=symmetric)
+        vs, res = criteria.design_values(X, 9)
+        ref = weyl_residual(X, 9)
+        assert not res.reduced and np.array_equal(res.r, ref.r)
+        assert vs == criteria._s2_values(ref, X.N)
+
+    def test_design_values_above_s2_are_pair_sums(self):
+        X = _random_set(3, 12, 4)
+        vs, res = criteria.design_values(X, 3)
+        assert res is None and vs == criteria.variational_values(X, 3)
+
     def test_s2_row_weights_are_shared_and_read_only(self):
         w = criteria._s2_row_weights(7)
         assert w is criteria._s2_row_weights(7)
-        assert w.shape == (len(KINDS), 63) and not w.flags.writeable
-        # the psi_3 row is the least-squares weight a0 itself
+        assert w.shape == (len(KINDS) + 1, 63) and not w.flags.writeable
+        # the psi_3 row is the least-squares weight a0 itself, and the
+        # last row weighs r^T r
         assert np.all(w[KINDS.index(PSI3)] == make_psi(PSI3, 2, 7).a0)
+        assert np.all(w[-1] == 1.0)
 
     def test_design_residual_vanishes(self):
         res = weyl_residual(polytopes.octahedron(), 3)

@@ -1,5 +1,7 @@
 """Solvers: starts, descent engines, and the multi-start driver."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,22 @@ class TestLsq:
         assert np.array_equal(res.pointset.coords,
                               param_to_points(points_to_param(X0)).coords)
 
+    def test_iteration_peak_memory(self, monkeypatch):
+        # one iteration at t = 30 (n = 961 packed angles) holds A, w * A,
+        # B and LAPACK's copy of it: about 3.3 n^2 doubles under
+        # tracemalloc (README, Scope)
+        monkeypatch.setattr(optimizer, "_LM_MAX_ITERATIONS", 1)
+        X0 = initial_points(2, bounds_mod.n_default(2, 30), "fibonacci")
+        n = 2 * X0.N - 3
+        tracemalloc.start()
+        try:
+            res = solve_lsq(X0, 30)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n == 961 and res.iterations == 1
+        assert peak < 3.6 * 8 * n * n
+
     def test_d2_only(self):
         X0 = initial_points(3, 8, "random_uniform")
         with pytest.raises(InvalidDimensionError):
@@ -213,6 +231,42 @@ class TestGenerate:
         for got, want in zip(vs, criteria.variational_values(res.pointset,
                                                              3)):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-15)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"N": 6, "symmetric": True}])
+    def test_no_residual_after_the_last_solve(self, monkeypatch, kwargs):
+        # every solve reports its V's, so the returned design builds no
+        # Weyl sums (and no Schmidt table) of its own
+        solving = []
+        outside = []
+        solve, weyl = optimizer.solve_lsq, criteria.weyl_residual
+
+        def tracked_solve(*args):
+            solving.append(True)
+            try:
+                return solve(*args)
+            finally:
+                solving.pop()
+
+        def tracked_weyl(*args):
+            if not solving:
+                outside.append(args)
+            return weyl(*args)
+        monkeypatch.setattr(optimizer, "solve_lsq", tracked_solve)
+        monkeypatch.setattr(criteria, "weyl_residual", tracked_weyl)
+        res = generate_design(2, 3, opts=SolveOptions(restarts=2), **kwargs)
+        assert res.converged and outside == []
+
+    @pytest.mark.parametrize("d, t, kwargs", [
+        (2, 3, {"opts": SolveOptions(restarts=2)}),
+        (2, 3, {"N": 6, "symmetric": True}),
+        # an antipodal plan wins: its V's are read before expand()
+        (2, 5, {"opts": SolveOptions(restarts=1)}),
+        (3, 2, {}),
+    ])
+    def test_values_are_the_design_values(self, d, t, kwargs):
+        res = generate_design(d, t, **kwargs)
+        assert (res.v1, res.v2, res.v3) == \
+            criteria.design_values(res.pointset, t)[0]
 
     def test_symmetric_needs_odd_t(self):
         with pytest.raises(InvalidParameterError):
