@@ -21,7 +21,8 @@ from scipy.optimize import minimize
 from . import bounds as bounds_mod
 from . import criteria, geometry, specfun
 from .criteria import make_psi
-from .errors import InvalidDimensionError, InvalidParameterError
+from .errors import (InvalidDimensionError, InvalidParameterError,
+                     UndefinedMetricError)
 from .pointset import (PointSet, TWO_PI, _moved, param_to_points,
                        points_to_param)
 
@@ -270,10 +271,15 @@ def _obj(result):
 def _scored(result, best):
     """The better of two candidates: result if it converged with a lower
     mesh ratio than best (or best is None), else best, so the earlier
-    candidate wins ties.  A converged result gets its geometry."""
+    candidate wins ties.  A converged result gets its geometry; one
+    without a mesh ratio (coincident points) is passed over as if it
+    had not converged."""
     if not result.converged:
         return best
-    result.geometry = geometry.mesh_ratio(result.pointset)
+    try:
+        result.geometry = geometry.mesh_ratio(result.pointset)
+    except UndefinedMetricError:
+        return best
     if best is None or result.geometry.rho < best.geometry.rho:
         return result
     return best
@@ -300,6 +306,8 @@ def generate_design(d, t, N=None, symmetric=False, opts=SolveOptions()):
     returned.  On S^2 a refine pass re-solves gently kicked copies of
     the winner while its mesh ratio exceeds _RHO_REFINE.
     """
+    if d < 2:
+        raise InvalidDimensionError("generation needs d >= 2, got %r" % (d,))
     if t < 1:
         raise InvalidParameterError("t must be >= 1")
     if symmetric and t % 2 == 0:

@@ -28,13 +28,41 @@ READ_NORM_TOL = 1e-8
 TWO_PI = 2.0 * np.pi
 
 
+def _row_fault(coords, tol):
+    """The first row of the (M, d+1) float array coords that is not a
+    unit vector within tol, and why, or None if every row is one.
+
+    A row fails with a non-finite coordinate, a coordinate beyond +-2,
+    or a norm more than tol from 1.  No unit vector has a coordinate
+    beyond +-1; the bound keeps the norms from overflowing, and NaN
+    fails it too, so one global test clears the common path.
+    """
+    head = coords  # the rows before any NaN or coordinate past +-2
+    if not np.abs(coords).max() <= 2.0:
+        head = coords[:int(np.argmin(np.abs(coords).max(axis=1) <= 2.0))]
+    norms = np.linalg.norm(head, axis=1)
+    off = np.abs(norms - 1.0) > tol
+    if np.any(off):
+        i = int(np.argmax(off))
+        return i, "norm %.17g, not within %g of 1" % (norms[i], tol)
+    if head is coords:
+        return None
+    i = len(head)
+    if not np.all(np.isfinite(coords[i])):
+        return i, "non-finite coordinate"
+    return i, ("coordinate of magnitude %.3g, too large for a unit vector"
+               % np.abs(coords[i]).max())
+
+
 @dataclass(frozen=True)
 class PointSet:
     """N unit vectors on S^d.
 
     coords holds one point per row.  When symmetric is true, coords
     stores N/2 representatives and each antipode is implied, so N
-    counts the expanded set.
+    counts the expanded set.  A C-contiguous float64 array is taken
+    without a copy and made read-only in place, so the caller's array
+    becomes read-only too.
     """
     d: int
     coords: np.ndarray
@@ -50,24 +78,9 @@ class PointSet:
                 "coords must be (N, d+1), got shape %r" % (coords.shape,))
         if coords.shape[0] < 1:
             raise InvalidPointError("need at least one point")
-        # no unit vector has a coordinate beyond +-1; the bound keeps the
-        # norms from overflowing, and NaN fails it too
-        if not np.abs(coords).max() <= 2.0:
-            finite = np.all(np.isfinite(coords), axis=1)
-            if not np.all(finite):
-                raise InvalidPointError("row %d has a non-finite coordinate"
-                                        % int(np.argmin(finite)))
-            big = np.abs(coords).max(axis=1)
-            i = int(np.argmax(big > 2.0))
-            raise InvalidPointError(
-                "row %d has a coordinate of magnitude %.3g, so its norm is "
-                "not within %g of 1" % (i, big[i], UNIT_TOL))
-        norms = np.linalg.norm(coords, axis=1)
-        bad = np.abs(norms - 1.0) > UNIT_TOL
-        if np.any(bad):
-            raise InvalidPointError(
-                "row %d has norm %.17g, not within %g of 1"
-                % (int(np.argmax(bad)), norms[np.argmax(bad)], UNIT_TOL))
+        fault = _row_fault(coords, UNIT_TOL)
+        if fault:
+            raise InvalidPointError("row %d: %s" % fault)
         coords.setflags(write=False)
 
     @property
@@ -247,7 +260,7 @@ def points_to_param(X):
     X is first rotated by normalize_pointset, so any set is read; a set
     already exactly in canonical position is read as it is.
     """
-    X, _ = normalize_pointset(X)
+    X = normalize_pointset(X)
     d = X.d
     reps = X.coords.shape[0]
     angles = np.array([_point_to_angles(X.coords[j], d) for j in range(reps)])
@@ -256,36 +269,27 @@ def points_to_param(X):
 
 
 def normalize_pointset(X):
-    """Rotate X into canonical position.
+    """X rotated into canonical position.
 
-    Returns (Y, Q) with Y the rotated set and Q the (d+1)x(d+1)
-    orthogonal matrix such that Y = X Q^T row-wise.  The rotated
-    coordinate matrix is upper triangular across the first points with
-    nonnegative diagonal, so the first point is e_1.  Rank deficiency
-    is resolved by the identity completion of the QR factorization.
+    The first d+1 rows of the rotated coordinates form a lower
+    triangular matrix, row j zero after column j, with a nonnegative
+    diagonal on the first d rows, so the first point is e_1.  The rows
+    are those of R^T from the QR factorization of the points as
+    columns, renormalized.
     """
     # already exact: zeros after the diagonal of the first d+1 points, a
     # nonnegative diagonal on the first d (the sign of the last
     # coordinate of point d is set by its free azimuth)
     head = X.coords[:X.d + 1]
     if not (np.any(np.triu(head, 1)) or np.any(np.diagonal(head)[:X.d] < 0)):
-        return X, np.eye(X.d + 1)
-    A = X.coords.T  # (d+1, reps), points as columns
-    Q, R = np.linalg.qr(A, mode="complete")
-    m = min(A.shape)
-    for i in range(m):
-        if R[i, i] < 0.0:
-            R[i, :] *= -1.0
-            Q[:, i] *= -1.0
+        return X
+    R = np.linalg.qr(X.coords.T, mode="r")  # points as columns
+    # a nonnegative diagonal; triu restores +0.0 where a flip left -0.0
+    R = np.triu(R * np.where(np.diagonal(R) < 0.0, -1.0, 1.0)[:, None])
     coords = np.zeros((X.coords.shape[0], X.d + 1))
     coords[:, :R.shape[0]] = R.T
-    # exact zeros in the pinned pattern, then restore unit rows
-    for j in range(min(coords.shape[0], X.d + 1)):
-        coords[j, j + 1:] = 0.0
-    norms = np.linalg.norm(coords, axis=1)
-    coords /= norms[:, None]
-    Y = PointSet(d=X.d, coords=coords, symmetric=X.symmetric)
-    return Y, Q.T
+    coords /= np.linalg.norm(coords, axis=1)[:, None]
+    return PointSet(d=X.d, coords=coords, symmetric=X.symmetric)
 
 
 def write_pointset(X, path, t=None):
@@ -354,22 +358,13 @@ def read_pointset(path):
         raise ParseError("header d=%d does not match %d columns"
                          % (header["d"], width))
     coords = np.array([vals for _, vals in rows])
-    finite = np.all(np.isfinite(coords), axis=1)
-    if not np.all(finite):
-        raise InvalidPointError("line %d: non-finite coordinate"
-                                % rows[int(np.argmin(finite))][0])
-    big = np.abs(coords).max(axis=1) > 2.0  # as in PointSet
-    if np.any(big):
-        raise InvalidPointError("line %d: coordinate too large for a unit "
-                                "vector" % rows[int(np.argmax(big))][0])
-    norms = np.linalg.norm(coords, axis=1)
-    worst = float(np.max(np.abs(norms - 1.0)))
-    if worst > READ_NORM_TOL:
-        raise InvalidPointError(
-            "line %d: norm deviates by %.3g (limit %g)"
-            % (rows[int(np.argmax(np.abs(norms - 1.0)))][0], worst, READ_NORM_TOL))
-    if worst > UNIT_TOL:
-        warnings.warn("renormalizing rows with norm error up to %.3g" % worst)
+    fault = _row_fault(coords, READ_NORM_TOL)
+    if fault:
+        raise InvalidPointError("line %d: %s" % (rows[fault[0]][0], fault[1]))
+    if _row_fault(coords, UNIT_TOL):
+        norms = np.linalg.norm(coords, axis=1)
+        warnings.warn("renormalizing rows with norm error up to %.3g"
+                      % np.max(np.abs(norms - 1.0)))
         coords = coords / norms[:, None]
     symmetric = bool(header.get("sym", 0))
     X = PointSet(d=width - 1, coords=coords, symmetric=symmetric)

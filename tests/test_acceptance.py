@@ -163,7 +163,7 @@ class TestProperties:
     def test_gradient_finite_difference(self):
         rng = np.random.default_rng(3)
         from sphdesign.pointset import normalize_pointset
-        X, _ = normalize_pointset(
+        X = normalize_pointset(
             optimizer.initial_points(2, 10, "random_uniform", seed=8))
         p = points_to_param(X)
         _, g = criteria.variational_value_and_param_gradient(p, 4)
@@ -206,7 +206,7 @@ class TestProperties:
 
     def test_parametrization_round_trip(self):
         from sphdesign.pointset import normalize_pointset
-        X, _ = normalize_pointset(
+        X = normalize_pointset(
             optimizer.initial_points(3, 9, "random_uniform", seed=6))
         p = points_to_param(X)
         Y = param_to_points(p)

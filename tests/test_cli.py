@@ -136,7 +136,8 @@ class TestVerify:
         assert done.returncode == 2
         assert done.stdout == ""
         assert done.stderr.splitlines() == [
-            "error: line 4: coordinate too large for a unit vector"]
+            "error: line 4: coordinate of magnitude %.3g, too large for a "
+            "unit vector" % float(huge)]
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.txt"), "--t", "3"]) == 2

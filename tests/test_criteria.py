@@ -378,7 +378,7 @@ class TestGradients:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_param_gradient_fd(self, symmetric):
         X = _random_set(2, 10, 5, symmetric=symmetric)
-        Y, _ = normalize_pointset(X)
+        Y = normalize_pointset(X)
         p = points_to_param(Y)
         v, g = variational_value_and_param_gradient(p, 4)
         h = 1e-7
@@ -452,7 +452,7 @@ class TestParamGradientOnePass:
         # angles exactly 0 and pi give zero sines; the difference steps
         # into the angle box, second order from one side
         X = _random_set(d, 12, 3 + d, symmetric=symmetric)
-        p = points_to_param(normalize_pointset(X)[0])
+        p = points_to_param(normalize_pointset(X))
         rows, cols = _free_slots(d, p.N // 2 if symmetric else p.N)
         values = p.values.copy()
         free = np.flatnonzero(rows > d)
@@ -482,7 +482,7 @@ class TestParamGradientOnePass:
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_param_gradient_fd(self, d, symmetric):
         X = _random_set(d, 12, 7 + d, symmetric=symmetric)
-        Y, _ = normalize_pointset(X)
+        Y = normalize_pointset(X)
         p = points_to_param(Y)
         _, g = variational_value_and_param_gradient(p, 3)
         h = 1e-7
@@ -663,7 +663,7 @@ class TestWeylResidual:
 
     def test_jacobian_finite_difference(self):
         X = _random_set(2, 7, 6)
-        Y, _ = normalize_pointset(X)
+        Y = normalize_pointset(X)
         t = 4
         p = points_to_param(Y)
         A = weyl_jacobian(weyl_residual(Y, t))
@@ -683,7 +683,7 @@ class TestWeylResidual:
 
     def test_symmetric_jacobian_finite_difference(self):
         X = _random_set(2, 12, 8, symmetric=True)
-        Y, _ = normalize_pointset(X)
+        Y = normalize_pointset(X)
         t = 5
         p = points_to_param(Y)
         A = weyl_jacobian(weyl_residual_reduced(Y, t))
@@ -707,7 +707,7 @@ class TestWeylResidual:
     def test_jacobian_matches_column_loop(self, N, symmetric):
         # reference: the per-column copy it replaced; the result must be
         # C-contiguous, since the BLAS path of A.T @ (w A) depends on it
-        Y, _ = normalize_pointset(_random_set(2, N, 9, symmetric=symmetric))
+        Y = normalize_pointset(_random_set(2, N, 9, symmetric=symmetric))
         t = 5
         d1, d2 = sph_harmonics_s2_jacobian(sph_harmonics_s2(t, Y.coords)[1])
         if symmetric:
@@ -728,7 +728,7 @@ class TestWeylResidual:
     def test_jacobian_of_full_residual_of_symmetric_set(self):
         # the full residual of a symmetric set runs over both halves, so
         # its Jacobian is that of the expanded set
-        Y, _ = normalize_pointset(_random_set(2, 12, 8, symmetric=True))
+        Y = normalize_pointset(_random_set(2, 12, 8, symmetric=True))
         A = weyl_jacobian(weyl_residual(Y, 5))
         assert A.shape[1] == n_free(2, 12)
         assert A.tobytes() == weyl_jacobian(
@@ -767,7 +767,7 @@ class TestWeylResidual:
         t, h = 4, 1e-6
         for symmetric in (False, True):
             X = _random_set(2, 18 if symmetric else 9, 6, symmetric)
-            assert normalize_pointset(X)[0] is not X
+            assert normalize_pointset(X) is not X
             residual = weyl_residual_reduced if symmetric else weyl_residual
             A = weyl_jacobian(residual(X, t))
             reps = X.coords.shape[0]

@@ -8,7 +8,8 @@ import pytest
 from sphdesign import bounds as bounds_mod
 from sphdesign import criteria, geometry, optimizer
 from sphdesign.criteria import PSI3, make_psi, variational_value
-from sphdesign.errors import InvalidDimensionError, InvalidParameterError
+from sphdesign.errors import (InvalidDimensionError, InvalidParameterError,
+                              UndefinedMetricError)
 from sphdesign.optimizer import (SolveOptions, _HOP_SIGMAS, _HOP_STALE_LIMIT, _MAX_HOPS,
                                  _REFINE_TICKETS, _RHO_REFINE, _kick, _obj,
                                  _spiral, generate_design,
@@ -22,7 +23,7 @@ from test_pointset import _canonical
 
 
 def _fail(*args, **kwargs):
-    raise AssertionError("work begun before the degree was checked")
+    raise AssertionError("work begun before the arguments were checked")
 
 
 def _refuse_start_work(monkeypatch):
@@ -304,6 +305,25 @@ class TestGenerate:
                            match="degree %d exceeds the stability cap %d"
                            % (MAX_HARMONIC_DEGREE + 1, MAX_HARMONIC_DEGREE)):
             generate_design(2, MAX_HARMONIC_DEGREE + 1, symmetric=symmetric)
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_dimension_below_two_before_any_start(self, monkeypatch, d):
+        _refuse_start_work(monkeypatch)
+        monkeypatch.setattr(bounds_mod, "n_default", _fail)
+        with pytest.raises(InvalidDimensionError, match="d >= 2"):
+            generate_design(d, 3)
+
+    def test_candidate_with_coincident_points_is_passed_over(self):
+        # at seed 1 the first plan converges to a 1-design on S^4 that
+        # repeats a point, so it has no mesh ratio; alone it leaves
+        # nothing to score, beside a second plan that one wins
+        opts = SolveOptions(seed=1, restarts=1)
+        with pytest.raises(UndefinedMetricError, match="coincident"):
+            generate_design(4, 1, N=4, opts=opts)
+        res = generate_design(4, 1, N=4, opts=SolveOptions(seed=1, restarts=2))
+        assert res.converged
+        assert res.geometry == geometry.mesh_ratio(res.pointset)
+        assert res.geometry.rho == pytest.approx(4.670, abs=1e-3)
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_start_without_free_angles(self, symmetric):
