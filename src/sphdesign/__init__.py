@@ -12,8 +12,7 @@ from .specfun import (dim_harmonic, dim_poly, jacobi_eval, jacobi_deriv,
 from .criteria import (PsiSpec, make_psi, psi_eval, variational_value,
                        weyl_residual, weyl_jacobian, WeylResidual,
                        PSI1, PSI2, PSI3)
-from .bounds import (n_star, n_plus, n_hat, n_bar, efficiency, BoundsRow,
-                     bounds_row)
+from .bounds import n_star, n_plus, n_hat, n_bar, BoundsRow, bounds_row
 from .geometry import separation, mesh_norm, mesh_ratio, GeometryReport
 from .quadrature import verify_design, DesignReport
 from .optimizer import (SolveOptions, SolveResult, initial_points,

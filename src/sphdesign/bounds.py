@@ -111,13 +111,6 @@ def m_sym(d, t):
     return comb(t + d - 1, d) - 1
 
 
-def efficiency(d, t, N):
-    """E = D(d, t)/(d N); close to 1 for the designs built here."""
-    if N < 1:
-        raise InvalidParameterError("N must be >= 1")
-    return specfun.dim_poly(d, t) / (d * N)
-
-
 @dataclass(frozen=True)
 class BoundsRow:
     d: int

@@ -5,7 +5,7 @@ verify (check the design property of a point file), geom (geometric
 quality), table (CSV summary over a directory of stored designs).
 
 Exit codes: 0 success or verification pass, 1 verification fail or,
-for gen, no start converged, 2 input or usage error.
+for gen, no start converged, 2 input or usage error or out of memory.
 """
 
 import argparse
@@ -195,6 +195,9 @@ def main(argv=None):
         return args.func(args)
     except (SphDesignError, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
+        return 2
+    except MemoryError as exc:
+        sys.stderr.write("error: out of memory: %s\n" % exc)
         return 2
 
 

@@ -133,6 +133,11 @@ def _zonal_weights(spec):
     G(lambda+1) n! / (2^n k! G(n-k+lambda+1)), the Gegenbauer
     expansion of z^n (DLMF 18.18.17) divided by Z(d, ell).
     G is the gamma function, evaluated through lgamma.
+
+    The Legendre coefficients of psi + a0 are a_ell = Z(d, ell) b_ell,
+    positive for 1 <= ell <= t; b_0 = a_0 is spec.a0 to rounding.  The
+    b_ell of psi_2 and psi_1 near ell = t fall below the smallest
+    double at high degree: on S^2 they are 0 from t = 536 and t = 1070.
     """
     t = spec.t
     if spec.kind == PSI3:
@@ -152,20 +157,6 @@ def _zonal_weights(spec):
             k = (n - ell) // 2
             b[ell] += exp(c - lgamma(k + 1.0) - lgamma(n - k + lam + 1.0))
     return b
-
-
-def psi_coefficients(spec):
-    """Legendre coefficients a_ell, ell = 0..t, of psi + a0, in closed
-    form (_zonal_weights); a_0 equals spec.a0 to rounding.
-
-    a_ell = Z(d, ell) b_ell with the dimension Z of the degree-ell
-    harmonics.  Every a_ell with 1 <= ell <= t is positive, but those
-    of psi_1 and psi_2 near ell = t fall below the smallest double at
-    high degree: on S^2 from t = 1070 and t = 540, where they are 0.
-    """
-    dims = np.array([specfun.dim_harmonic(spec.d, ell)
-                     for ell in range(spec.t + 1)], dtype=float)
-    return dims * _zonal_weights(spec)
 
 
 @lru_cache(maxsize=None)

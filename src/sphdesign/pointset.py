@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import (InvalidDimensionError, InvalidPointError,
                      InvalidParameterError, ParseError)
-from .specfun import _frozen
+from .specfun import _degree_runs, _frozen
 
 UNIT_TOL = 1e-12
 READ_NORM_TOL = 1e-8
@@ -117,9 +117,8 @@ def _free_slots(d, N):
     """Packed order of free angles as two read-only index arrays: point
     index j and angle index i, both 0-based, angles i = 0..min(j, d) - 1
     for point j."""
-    slots = [(j, i) for j in range(1, N) for i in range(min(j, d))]
-    j, i = np.array(slots, dtype=int).reshape(-1, 2).T
-    return _frozen(j.copy(), i.copy())
+    j = np.arange(1, N)
+    return _frozen(*_degree_runs(j, np.minimum(j, d)))
 
 
 @lru_cache(maxsize=None)

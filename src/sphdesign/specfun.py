@@ -1,5 +1,5 @@
-"""Jacobi polynomials, normalized Legendre polynomials, real spherical
-harmonics on S^2, harmonic-space dimensions, and largest Jacobi zeros.
+"""Jacobi polynomials, real spherical harmonics on S^2, harmonic-space
+dimensions, and largest Jacobi zeros.
 
 The Jacobi functions take alpha, beta and the degree n
 (jacobi_eval(alpha, beta, n, z)), the S^2 harmonics an (M, 3) array of
@@ -24,7 +24,13 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import InvalidDimensionError, InvalidParameterError
 
-MAX_HARMONIC_DEGREE = 2000
+# The sectoral seed Q_k^k ~ u^k of the Schmidt table falls below the
+# smallest normal double for k above about 700 near u = 1/e and loses
+# bits, and the l-recurrence carries the loss up to l ~ k/u: the
+# identity (Q_l^0)^2 + 2 sum_k (Q_l^k)^2 = 1 holds to 3e-11 up to
+# l = 1900 but is off by 2e-3 at l = 2000.  The cap stays about 100
+# degrees below that onset.
+MAX_HARMONIC_DEGREE = 1800
 
 
 def dim_harmonic(d, ell):
@@ -125,16 +131,6 @@ def jacobi_deriv(alpha, beta, n, z):
         return np.zeros_like(np.asarray(z, dtype=float))
     return 0.5 * (n + alpha + beta + 1.0) * jacobi_eval(
         alpha + 1.0, beta + 1.0, n - 1, z)
-
-
-def legendre_norm_batch(d, L, z):
-    """P_ell^(d+1)(z) for all ell = 0..L at once."""
-    if d < 2:
-        raise InvalidDimensionError("normalized Legendre needs d >= 2")
-    alpha = 0.5 * (d - 2.0)
-    vals = jacobi_batch(alpha, alpha, L, z)
-    scale = np.array([jacobi_at_one(alpha, ell) for ell in range(L + 1)])
-    return vals / scale.reshape((L + 1,) + (1,) * (vals.ndim - 1))
 
 
 def jacobi_largest_zero(alpha, beta, n):

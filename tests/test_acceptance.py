@@ -17,8 +17,8 @@ from sphdesign import bounds, criteria, geometry, optimizer, polytopes
 from sphdesign.criteria import make_psi
 from sphdesign.pointset import points_to_param, param_to_points
 from sphdesign.quadrature import verify_design
-from sphdesign.specfun import legendre_norm_batch
 from sphdesign.summation import _CHUNK, comp_sum
+from test_legendre import legendre_norm_batch
 
 
 class TestBoundsS2:

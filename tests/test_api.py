@@ -21,7 +21,6 @@ SIGNATURES = {
     "bounds_row": ("d", "t"),
     "dim_harmonic": ("d", "ell"),
     "dim_poly": ("d", "t"),
-    "efficiency": ("d", "t", "N"),
     "generate_design": ("d", "t", "N", "symmetric", "opts"),
     "initial_points": ("d", "N", "kind", "seed"),
     "jacobi_at_one": ("alpha", "ell"),

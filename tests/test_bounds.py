@@ -12,7 +12,7 @@ import pytest
 from scipy.special import roots_jacobi
 
 import sphdesign
-from sphdesign.bounds import (BoundsRow, bounds_row, efficiency, m_sym, n_bar,
+from sphdesign.bounds import (BoundsRow, bounds_row, m_sym, n_bar,
                               n_hat, n_plus, n_star)
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
 from sphdesign.specfun import dim_poly
@@ -131,13 +131,6 @@ class TestFreedomCounts:
         if t % 2:
             k = m_sym(d, t) + d * (d + 1) // 2
             assert n_bar(d, t) == 2 * math.ceil(Fraction(k, d))
-
-    def test_efficiency(self):
-        # at N = n_hat the efficiency is close to 1 by construction
-        for d in (2, 3):
-            for t in (5, 12, 25):
-                e = efficiency(d, t, n_hat(d, t))
-                assert 0.9 < e <= 1.0 + d / n_hat(d, t)
 
 
 class TestAgainstTables:

@@ -13,6 +13,7 @@ import sphdesign
 from sphdesign import criteria, polytopes
 from sphdesign.cli import build_parser, main
 from sphdesign.pointset import PointSet, read_pointset, write_pointset
+from sphdesign.specfun import MAX_HARMONIC_DEGREE
 
 
 @pytest.fixture
@@ -175,6 +176,15 @@ class TestVerify:
         bad.write_text("not numbers at all\n")
         assert main(["verify", str(bad), "--t", "3"]) == 2
 
+    def test_degree_above_harmonic_cap_is_usage_error(self, octa_file,
+                                                      capsys):
+        t = MAX_HARMONIC_DEGREE + 1
+        assert main(["verify", octa_file, "--t", str(t)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: degree %d exceeds the stability "
+                                "cap %d\n" % (t, MAX_HARMONIC_DEGREE))
+
 
 class TestGeom:
     def test_report_line(self, octa_file, capsys):
@@ -271,13 +281,28 @@ class TestGen:
     def test_degree_above_harmonic_cap_is_usage_error(self, tmp_path, capsys,
                                                       flags):
         out_file = tmp_path / "cap.txt"
-        code = main(["gen", "--d", "2", "--t", "2001", "-o", str(out_file)]
+        t = MAX_HARMONIC_DEGREE + 1
+        code = main(["gen", "--d", "2", "--t", str(t), "-o", str(out_file)]
                     + flags)
         assert code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: degree 2001 exceeds the stability "
-                                "cap 2000\n")
+        assert captured.err == ("error: degree %d exceeds the stability "
+                                "cap %d\n" % (t, MAX_HARMONIC_DEGREE))
+        assert not out_file.exists()
+
+    def test_out_of_memory_is_one_error_line(self, tmp_path, capsys,
+                                             monkeypatch):
+        # numpy's allocation failure is a MemoryError; none is made here
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 397. MiB for an array")
+        monkeypatch.setattr(sphdesign.optimizer, "generate_design", fail)
+        out_file = tmp_path / "big.txt"
+        assert main(["gen", "--t", "100", "-o", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: Unable to allocate "
+                                "397. MiB for an array\n")
         assert not out_file.exists()
 
     def test_missing_output_directory_before_generating(self, tmp_path,

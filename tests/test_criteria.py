@@ -8,8 +8,8 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 from sphdesign import criteria, polytopes, specfun
-from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power, make_psi,
-                                psi_coefficients, psi_eval,
+from sphdesign.criteria import (KINDS, PSI1, PSI2, PSI3, _power,
+                                _zonal_weights, make_psi, psi_eval,
                                 variational_value,
                                 variational_value_and_param_gradient,
                                 variational_values,
@@ -25,6 +25,7 @@ from sphdesign.specfun import (_basis_layout, dim_harmonic, jacobi_deriv,
                                row_degrees, sph_harmonics_s2,
                                sph_harmonics_s2_jacobian)
 from sphdesign.summation import comp_sum
+from test_legendre import legendre_norm_batch
 from test_pointset import (_angles_to_points, _point_recurrence,
                            _tables_as_floats)
 
@@ -59,6 +60,14 @@ def _a0_by_quadrature(spec):
     return num / den
 
 
+def _coefficients(spec):
+    """Legendre coefficients a_ell = Z(d, ell) b_ell, ell = 0..t, of
+    psi + a0, from the closed-form b_ell the Weyl-sum view weighs by."""
+    dims = np.array([dim_harmonic(spec.d, ell) for ell in range(spec.t + 1)],
+                    dtype=float)
+    return dims * _zonal_weights(spec)
+
+
 def _coefficients_by_projection(spec):
     """Legendre coefficients of psi + a0 by Gauss-Jacobi projection on
     t + 5 nodes: the former coefficient path, kept as an oracle.  Its
@@ -66,7 +75,7 @@ def _coefficients_by_projection(spec):
     t, alpha = spec.t, spec.alpha
     nodes, weights = roots_jacobi(t + 5, alpha, alpha)
     raw = psi_eval(spec, nodes) + spec.a0
-    pl = specfun.legendre_norm_batch(spec.d, t, nodes)
+    pl = legendre_norm_batch(spec.d, t, nodes)
     return np.array([np.sum(weights * raw * pl[ell])
                      / np.sum(weights * pl[ell] ** 2)
                      for ell in range(t + 1)])
@@ -100,14 +109,14 @@ class TestPsiSpecs:
         assert float(psi_eval(spec, 1.0)) == pytest.approx(spec.psi_at_1,
                                                            rel=1e-12)
         # psi(1) also equals the sum of coefficients 1..t
-        coeffs = psi_coefficients(spec)
+        coeffs = _coefficients(spec)
         assert np.sum(coeffs[1:]) == pytest.approx(spec.psi_at_1, rel=1e-10)
         assert coeffs[0] == pytest.approx(spec.a0, rel=1e-10)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("d,t", [(2, 6), (3, 5), (6, 3)])
     def test_coefficients_positive(self, kind, d, t):
-        coeffs = psi_coefficients(make_psi(kind, d, t))
+        coeffs = _coefficients(make_psi(kind, d, t))
         assert np.all(coeffs[1:] > 0.0)
 
     def test_psi3_coefficients_proportional_to_dimension(self):
@@ -115,7 +124,7 @@ class TestPsiSpecs:
         # least-squares diagonal a_ell / Z is the same for every row
         for d, t in [(2, 7), (3, 5)]:
             spec = make_psi(PSI3, d, t)
-            coeffs = psi_coefficients(spec)
+            coeffs = _coefficients(spec)
             dims = np.array([dim_harmonic(d, l) for l in range(t + 1)])
             assert np.allclose(coeffs, spec.a0 * dims, rtol=1e-9)
 
@@ -125,7 +134,7 @@ class TestPsiSpecs:
         for t in range(1, 11):
             spec = make_psi(kind, d, t)
             ref = _coefficients_by_projection(spec)
-            got = psi_coefficients(spec)
+            got = _coefficients(spec)
             assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-8
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -134,7 +143,7 @@ class TestPsiSpecs:
         # a_0 is the mean, the a_ell of ell >= 1 sum to psi(1), and each
         # is positive: the terms of V are weighted squares
         spec = make_psi(kind, d, t)
-        coeffs = psi_coefficients(spec)
+        coeffs = _coefficients(spec)
         assert coeffs.shape == (t + 1,)
         assert coeffs[0] == pytest.approx(spec.a0, rel=1e-12)
         assert math.fsum(coeffs[1:]) == pytest.approx(spec.psi_at_1,
@@ -545,7 +554,7 @@ class TestWeylResidual:
             t = 6
             spec = make_psi(kind, 2, t)
             r = weyl_residual(X, t).r
-            w = psi_coefficients(spec)[1:][deg - 1] / (2 * deg + 1)
+            w = _zonal_weights(spec)[deg]
             weighted = comp_sum(w * r * r)
             assert variational_value(X, spec) == pytest.approx(
                 weighted / X.N ** 2, rel=1e-9)
@@ -583,7 +592,7 @@ class TestWeylResidual:
         assert calls == [1] and rtr == float(comp_sum(res.r * res.r))
         for v, kind in zip(got, KINDS):
             spec = make_psi(kind, 2, t)
-            w = psi_coefficients(spec)[deg] / (2 * deg + 1)
+            w = _zonal_weights(spec)[deg]
             assert type(v) is float and v >= 0.0
             assert v == pytest.approx(comp_sum(w * res.r * res.r) / X.N ** 2,
                                       rel=1e-13)

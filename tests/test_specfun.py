@@ -4,15 +4,15 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import eval_jacobi, roots_jacobi
 
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
-from sphdesign.specfun import (_schmidt_theta_deriv, dim_harmonic, dim_poly,
+from sphdesign.specfun import (MAX_HARMONIC_DEGREE, _row, _schmidt_table,
+                               _schmidt_theta_deriv, dim_harmonic, dim_poly,
                                jacobi_at_one, jacobi_batch, jacobi_deriv,
-                               jacobi_eval, jacobi_largest_zero,
-                               legendre_norm_batch, row_degrees,
+                               jacobi_eval, jacobi_largest_zero, row_degrees,
                                sph_harmonics_s2, sph_harmonics_s2_jacobian)
+from test_legendre import legendre_norm_batch
 
 
 def _monomial_count(d, t):
@@ -92,35 +92,6 @@ class TestJacobi:
                 fn(0.0, -1.5, 4, 0.3)
             with pytest.raises(InvalidParameterError):
                 fn(0.0, 0.0, -1, 0.3)
-
-
-class TestLegendreNorm:
-    def test_is_one_at_one(self):
-        for d in (2, 3, 4, 7):
-            vals = legendre_norm_batch(d, 24, 1.0)
-            for ell in range(0, 25):
-                assert vals[ell] == pytest.approx(1.0, abs=1e-12)
-
-    def test_d2_is_classical_legendre(self):
-        from scipy.special import eval_legendre
-        z = np.linspace(-1.0, 1.0, 17)
-        vals = legendre_norm_batch(2, 14, z)
-        for ell in range(0, 15):
-            assert np.allclose(vals[ell], eval_legendre(ell, z), rtol=1e-12,
-                               atol=1e-12)
-
-    def test_orthogonality_weighted(self):
-        # integral over [-1,1] with weight (1-z^2)^((d-2)/2) vanishes
-        # for distinct degrees
-        d = 3
-        w = 0.5 * (d - 2.0)
-        for la, lb in [(0, 1), (1, 2), (2, 5), (3, 4)]:
-            def f(z):
-                P = legendre_norm_batch(d, lb, z)
-                return P[la] * P[lb] * (1 - z * z) ** w
-
-            val, _ = quad(f, -1.0, 1.0)
-            assert abs(val) < 1e-12
 
 
 class TestLargestZero:
@@ -276,6 +247,16 @@ class TestHarmonics:
                                rtol=1e-10, atol=1e-8)
             row += 2 * l + 1
 
+    def test_schmidt_identity_at_the_cap(self):
+        # (Q_l^0)^2 + 2 sum_k (Q_l^k)^2 = 1 at the largest accepted
+        # degree, near the pole and at u = sin(theta) where the seed
+        # u^k of the high orders falls below the normal doubles
+        L = MAX_HARMONIC_DEGREE
+        u = np.array([0.001, 0.30, 0.33, 0.345, 0.36, 0.37, 0.40])
+        block = _schmidt_table(L, np.sqrt(1.0 - u * u))[_row(L, 0):]
+        s = block[0] ** 2 + 2.0 * np.sum(block[1:] ** 2, axis=0)
+        assert np.max(np.abs(s - 1.0)) <= 1e-10
+
     def test_orthonormality_by_quadrature(self):
         # Gauss-Legendre x uniform azimuth integrates products exactly
         for L in (0, 1, 6):
@@ -338,5 +319,5 @@ class TestHarmonics:
 
     def test_degree_cap(self):
         with pytest.raises(InvalidParameterError):
-            sph_harmonics_s2(2001, np.eye(3))
+            sph_harmonics_s2(MAX_HARMONIC_DEGREE + 1, np.eye(3))
 
