@@ -34,15 +34,17 @@ def _check_range(args):
 
 def cmd_bounds(args):
     _check_range(args)
-    out = sys.stdout
-    out.write("t,N_star,N_plus,N_hat,N_bar,dim_poly\n")
+    # rows are written once all are built, so a failing row leaves no
+    # partial table on stdout
+    out = ["t,N_star,N_plus,N_hat,N_bar,dim_poly\n"]
     for t in range(args.t_min, args.t_max + 1):
         if args.symmetric and t % 2 == 0:
             continue
         row = bounds_mod.bounds_row(args.d, t)
         nbar = "" if row.n_bar < 0 else str(row.n_bar)
-        out.write("%d,%d,%d,%d,%s,%d\n" % (t, row.n_star, row.n_plus,
-                                           row.n_hat, nbar, row.dim_poly))
+        out.append("%d,%d,%d,%d,%s,%d\n" % (t, row.n_star, row.n_plus,
+                                            row.n_hat, nbar, row.dim_poly))
+    sys.stdout.write("".join(out))
     return 0
 
 

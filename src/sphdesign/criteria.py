@@ -360,9 +360,12 @@ def weyl_jacobian(residual):
     Rows follow the residual; columns follow the ParamVector packing of
     the points the sums ran over (the representatives, for a reduced
     residual).  Column k is the derivative w.r.t. one point's own angle
-    at a free slot, which holds for any set, canonical or not.  The
-    result is C-contiguous: the normal equations built from it must not
-    depend on how it was assembled.
+    at a free slot, read from its coordinates, for any set, canonical
+    or not.  It is the derivative w.r.t. a packed angle only while that
+    angle lies in its box: a colatitude past pi gives the same point
+    and the column with the opposite sign, so pointset._moved clips
+    every step.  The result is C-contiguous: the normal equations built
+    from it must not depend on how it was assembled.
     """
     d1, d2 = specfun.sph_harmonics_s2_jacobian(residual.tables,
                                                residual.reduced)

@@ -78,6 +78,7 @@ def initial_points(d, N, kind, seed=0):
     for symmetric searches."""
     if N < 2:
         raise InvalidParameterError("need at least two points")
+    specfun._refuse_unindexable(N * (d + 1), "a start of %d points" % N)
     if kind == "equal_area_spiral":
         if d != 2:
             raise InvalidDimensionError("the spiral start is for d = 2 only")
@@ -181,8 +182,9 @@ def solve_lsq(X0, t):
 
     A symmetric X0 is solved on its representatives and even-degree
     rows only.  A start with no free angles is reported as it is.  A
-    solve runs at most _LM_MAX_ITERATIONS iterations, and ends early
-    when no damping up to nu = 1e14 lowers the objective.
+    solve runs at most _LM_MAX_ITERATIONS iterations.  A trial is taken
+    only when it lowers r^T r (WeylResidual.rtr), and the solve ends
+    early when no damping up to nu = 1e14 gives one.
     """
     if X0.d != 2:
         raise InvalidDimensionError("least squares requires d = 2")
@@ -193,26 +195,24 @@ def solve_lsq(X0, t):
     r_tol = _r_tolerance(X0.N)
     X, res = _lsq_residual(p, t)
     w = res.weights
-    f = float(np.dot(w * res.r, res.r))
     nu = _LM_NU0
     its = 0
-    f_hist = [f]
+    rtr_hist = [res.rtr]
     while its < _LM_MAX_ITERATIONS:
         if res.rtr <= r_tol:
             break
         # a flatlining objective far from the tolerance is a local
         # minimum; cut the run instead of grinding out the full cap
-        if (len(f_hist) > _STALL_WINDOW
-                and f > f_hist[-_STALL_WINDOW - 1] / _STALL_FACTOR
+        if (len(rtr_hist) > _STALL_WINDOW
+                and res.rtr > rtr_hist[-_STALL_WINDOW - 1] / _STALL_FACTOR
                 and res.rtr > 1e6 * r_tol):
             break
         A = criteria.weyl_jacobian(res)
         g = A.T @ (w * res.r)
         B = A.T @ (w * A)
         diag = B.diagonal().copy()
-        stepped = False
-        # a singular system is rejected like a step that fails to
-        # lower f, so every path raises nu and ends past 1e14
+        # a singular system is rejected like a step that fails to lower
+        # r^T r, so nu ends past 1e14 exactly when no trial was taken
         while nu <= 1e14:
             # B + nu I in place: the values of B + nu * I without an
             # identity or a damped copy of B
@@ -224,16 +224,14 @@ def solve_lsq(X0, t):
                 continue
             trial = _moved(p, p.values + direction)
             Xt, rest = _lsq_residual(trial, t)
-            ft = float(np.dot(w * rest.r, rest.r))
-            if ft < f:
-                p, X, res, f = trial, Xt, rest, ft
+            if rest.rtr < res.rtr:
+                p, X, res = trial, Xt, rest
                 nu = max(nu * _LM_NU_DOWN, 1e-14)
-                stepped = True
                 break
             nu *= _LM_NU_UP
         its += 1
-        f_hist.append(f)
-        if not stepped:
+        rtr_hist.append(res.rtr)
+        if nu > 1e14:
             break
     return _make_result(X, t, its)
 
@@ -242,9 +240,9 @@ def solve_lsq_with_hops(X0, t, seed=0, hops=_MAX_HOPS):
     """solve_lsq with local-minimum escapes.
 
     A stalled run is kicked (strength cycling through _HOP_SIGMAS) and
-    re-solved; a trial is kept when it converges or improves the
-    residual.  The hops end at convergence, after `hops` trials, or
-    after _HOP_STALE_LIMIT rejected trials in a row.
+    re-solved; a trial is kept when it lowers r^T r.  The hops end at
+    convergence, after `hops` trials, or after _HOP_STALE_LIMIT
+    rejected trials in a row.
     """
     result = solve_lsq(X0, t)
     rng = np.random.default_rng(seed)
@@ -254,7 +252,7 @@ def solve_lsq_with_hops(X0, t, seed=0, hops=_MAX_HOPS):
             break
         trial = solve_lsq(
             _kick(result.pointset, rng, _HOP_SIGMAS[k % len(_HOP_SIGMAS)]), t)
-        if trial.converged or _obj(trial) < _obj(result):
+        if trial.rtr < result.rtr:
             trial.iterations += result.iterations
             result = trial
             stale = 0

@@ -160,7 +160,14 @@ class ParamVector:
 
 
 def _moved(p, values):
-    """p with new angles, projected back into the angle box."""
+    """p with new angles, projected back into the angle box.
+
+    The clip is load-bearing, not cosmetic: criteria.weyl_jacobian
+    differentiates w.r.t. each point's own angles, read back from its
+    coordinates, and a colatitude past pi describes the same point with
+    the opposite sign of that column (at pi + 0.3 the column is minus
+    the finite difference, at 1.0 the finite difference).
+    """
     out = np.array(values)
     azim = p.upper == TWO_PI  # the azimuth slots
     out[azim] = np.mod(out[azim], TWO_PI)

@@ -32,6 +32,18 @@ from .errors import InvalidDimensionError, InvalidParameterError
 # degrees below that onset.
 MAX_HARMONIC_DEGREE = 1800
 
+# numpy refuses, with a ValueError, an array of more bytes than an
+# index can count
+_MAX_DOUBLES = np.iinfo(np.intp).max // 8
+
+
+def _refuse_unindexable(count, what):
+    """Raise MemoryError, the out-of-memory case, for an array of count
+    doubles that numpy could not index, before it is requested."""
+    if count > _MAX_DOUBLES:
+        raise MemoryError("%s needs %d doubles in one array, more than "
+                          "numpy can index" % (what, count))
+
 
 def dim_harmonic(d, ell):
     """Dimension Z(d, ell) of degree-ell spherical harmonics on S^d.
@@ -143,6 +155,7 @@ def jacobi_largest_zero(alpha, beta, n):
     _check_jacobi(alpha, beta, n)
     if n == 0:
         raise InvalidParameterError("a degree-0 polynomial has no zero")
+    _refuse_unindexable(n, "the Jacobi matrix of degree %d" % n)
     ab = alpha + beta
     diag = np.empty(n)
     diag[0] = (beta - alpha) / (ab + 2.0)

@@ -70,6 +70,31 @@ class TestBounds:
         assert captured.out == ""
         assert captured.err.startswith("error: d must be >= 1")
 
+    def test_degree_numpy_cannot_index_is_out_of_memory(self, capsys):
+        t = str(10 ** 20)
+        assert main(["bounds", "--d", "3", "--t-min", t, "--t-max", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+
+    def test_failing_row_writes_nothing(self, capsys, monkeypatch):
+        bounds_row = sphdesign.bounds.bounds_row
+        degrees = []
+
+        def fail_second(d, t):
+            degrees.append(t)
+            if len(degrees) == 2:
+                raise MemoryError("Unable to allocate 74.5 GiB")
+            return bounds_row(d, t)
+
+        monkeypatch.setattr(sphdesign.bounds, "bounds_row", fail_second)
+        assert main(["bounds", "--d", "2", "--t-max", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: out of memory: "
+                                "Unable to allocate 74.5 GiB\n")
+
 
 class TestVerify:
     def test_pass_and_fail_exit_codes(self, octa_file, capsys):
@@ -305,6 +330,18 @@ class TestGen:
                                 "397. MiB for an array\n")
         assert not out_file.exists()
 
+    @pytest.mark.parametrize("d, t", [(40, 40), (3, 10 ** 9)])
+    def test_start_numpy_cannot_index_is_out_of_memory(self, tmp_path,
+                                                       capsys, d, t):
+        out_file = tmp_path / "x.txt"
+        assert main(["gen", "--d", str(d), "--t", str(t),
+                     "-o", str(out_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
+        assert not out_file.exists()
+
     def test_missing_output_directory_before_generating(self, tmp_path,
                                                         capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -445,6 +482,16 @@ class TestTable:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: d must be >= 1")
+
+    def test_degree_numpy_cannot_index_is_out_of_memory(self, tmp_path,
+                                                        capsys):
+        t = str(10 ** 20)
+        assert main(["table", "--d", "3", "--t-min", t, "--t-max", t,
+                     "--designs-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: out of memory: ")
+        assert captured.err.count("\n") == 1
 
 
 class TestParsing:

@@ -95,6 +95,45 @@ class TestLsq:
         long = solve_lsq(X0, 4)
         assert long.rtr <= short.rtr * (1.0 + 1e-12)
 
+    @pytest.mark.parametrize("N, t, kind", [(18, 5, "fibonacci"),
+                                            (8, 3, "random_uniform")])
+    def test_result_is_the_lowest_residual_formed(self, monkeypatch, N, t,
+                                                  kind):
+        # every trial is judged on r^T r alone, so the solve ends at the
+        # smallest r^T r it formed, bit for bit
+        formed = []
+        lsq_residual = optimizer._lsq_residual
+
+        def recorded(p, t):
+            X, res = lsq_residual(p, t)
+            formed.append(res.rtr)
+            return X, res
+
+        monkeypatch.setattr(optimizer, "_lsq_residual", recorded)
+        res = solve_lsq(initial_points(2, N, kind), t)
+        assert res.rtr == min(formed)
+        # the start and one accepted trial per iteration at most, so
+        # some trials were rejected
+        assert len(formed) > res.iterations + 1
+
+    def test_hop_kept_exactly_when_rtr_is_lower(self, monkeypatch):
+        # scripted solves: the start, then one per hop; iterations are
+        # powers of ten, so their sum names the kept solves
+        X = initial_points(2, 6, "equal_area_spiral")
+        script = iter(enumerate([5.0, 6.0, 4.0, 4.0, 3.0]))
+
+        def scripted(X0, t):
+            k, rtr = next(script)
+            return optimizer.SolveResult(X0, False, rtr, 0.0, 0.0, 0.0,
+                                         iterations=10 ** k, geometry=None)
+
+        monkeypatch.setattr(optimizer, "solve_lsq", scripted)
+        monkeypatch.setattr(optimizer, "_kick", lambda X, rng, sigma: X)
+        result = optimizer.solve_lsq_with_hops(X, 2, hops=4)
+        # higher (6.0) and equal (the second 4.0) trials are passed over
+        assert result.rtr == 3.0
+        assert result.iterations == 1 + 100 + 10000
+
     def test_symmetric_solve(self):
         X0 = initial_points(2, 12, "symmetric_double", seed=3)
         res = solve_lsq(X0, 3)
