@@ -23,8 +23,8 @@ from . import criteria, geometry, specfun
 from .criteria import make_psi
 from .errors import (InvalidDimensionError, InvalidParameterError,
                      UndefinedMetricError)
-from .pointset import (PointSet, TWO_PI, _moved, param_to_points,
-                       points_to_param)
+from .pointset import (PointSet, TWO_PI, _moved, _sine_prefix,
+                       param_to_points, points_to_param)
 
 _LM_NU0 = 1e-2
 _LM_NU_UP = 10.0
@@ -100,22 +100,23 @@ def initial_points(d, N, kind, seed=0):
 
 def _spiral(N):
     """Generalized spiral on S^2: latitudes uniform in height, azimuth
-    advancing by about 3.6/sqrt(N) per point along the spiral."""
+    advancing by about 3.6/sqrt(N) per point along the spiral, mapped to
+    points as param_to_points maps angles."""
     h = -1.0 + 2.0 * np.arange(N) / (N - 1.0)
     theta = np.arccos(np.clip(h, -1.0, 1.0))
     phi = np.zeros(N)
     np.cumsum(3.6 / np.sqrt(N * (1.0 - h[1:-1] * h[1:-1])), out=phi[1:-1])
     phi %= TWO_PI
-    coords = np.stack([np.cos(theta),
-                       np.sin(theta) * np.cos(phi),
-                       np.sin(theta) * np.sin(phi)], axis=1)
-    return PointSet(d=2, coords=coords)
+    c, _, prefix = _sine_prefix(np.stack([theta, phi], axis=1))
+    return PointSet(d=2, coords=prefix * c)
 
 
 def _fibonacci(N):
     """Golden-angle lattice on S^2: heights offset by half a step,
     azimuth advancing by 2 pi / phi^2 per point.  Very uniform, so
-    descent from it tends to land in well-conditioned basins."""
+    descent from it tends to land in well-conditioned basins.  It keeps
+    the heights z rather than take _spiral's angle map, whose arccos
+    would move their bits."""
     k = np.arange(N)
     z = 1.0 - 2.0 * (k + 0.5) / N
     phi = 2.0 * np.pi * k * (2.0 / (1.0 + np.sqrt(5.0)))

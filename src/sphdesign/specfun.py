@@ -149,29 +149,23 @@ def jacobi_largest_zero(alpha, beta, n):
     """Largest zero of P_n^(alpha,beta) via the symmetric eigenvalue method.
 
     The zeros are the eigenvalues of the symmetric tridiagonal matrix
-    built from the monic recurrence coefficients; one Newton step then
-    polishes the largest one.
+    built from the monic recurrence coefficients (Golub and Welsch);
+    LAPACK's bisection finds the largest one alone, in O(n), and one
+    Newton step then polishes it.
     """
     _check_jacobi(alpha, beta, n)
     if n == 0:
         raise InvalidParameterError("a degree-0 polynomial has no zero")
     _refuse_unindexable(n, "the Jacobi matrix of degree %d" % n)
     ab = alpha + beta
-    diag = np.empty(n)
-    diag[0] = (beta - alpha) / (ab + 2.0)
-    for k in range(1, n):
-        c = 2.0 * k + ab
-        diag[k] = (beta * beta - alpha * alpha) / (c * (c + 2.0))
-    off = np.empty(max(n - 1, 0))
-    for k in range(1, n):
-        c = 2.0 * k + ab
-        num = 4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-        den = c * c * (c + 1.0) * (c - 1.0)
-        off[k - 1] = np.sqrt(num / den)
-    if n == 1:
-        gamma = diag[0]
-    else:
-        gamma = eigh_tridiagonal(diag, off, eigvals_only=True)[-1]
+    k = np.arange(1, n)
+    c = 2.0 * k + ab
+    diag = np.concatenate(([(beta - alpha) / (ab + 2.0)],
+                           (beta * beta - alpha * alpha) / (c * (c + 2.0))))
+    off = np.sqrt(4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+                  / (c * c * (c + 1.0) * (c - 1.0)))
+    gamma, = eigh_tridiagonal(diag, off, eigvals_only=True, select="i",
+                              select_range=(n - 1, n - 1))
     f = float(jacobi_eval(alpha, beta, n, gamma))
     fp = float(jacobi_deriv(alpha, beta, n, gamma))
     if fp != 0.0:

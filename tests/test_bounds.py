@@ -15,7 +15,7 @@ import sphdesign
 from sphdesign.bounds import (BoundsRow, bounds_row, m_sym, n_bar,
                               n_hat, n_plus, n_star)
 from sphdesign.errors import InvalidDimensionError, InvalidParameterError
-from sphdesign.specfun import dim_poly
+from sphdesign.specfun import dim_poly, jacobi_largest_zero
 
 from reference_tables import (S2_GENERAL, S2_SYMMETRIC, S3_GENERAL,
                               S3_POLYTOPES, S3_SYMMETRIC)
@@ -62,9 +62,9 @@ class TestLowerBounds:
                 assert n_plus(d, t) == math.ceil(expect - 1e-9)
 
     # ceilings of area(S^d) / area(cap) at 60 digits (mpmath: the zero
-    # by the three-term recurrence and Newton steps, then betainc); the
-    # exact ratios lie 0.04 to 0.06 from an integer, where adaptive
-    # quadrature of the cap missed by one
+    # by the three-term recurrence and Newton steps, then betainc;
+    # tests/reference_zeros.py); the exact ratios lie 0.04 to 0.06 from
+    # an integer, where adaptive quadrature of the cap missed by one
     @pytest.mark.parametrize("d, t, expect", [
         (5, 137, 49844234),      # 49844233.9403
         (5, 145, 65804881),      # 65804880.9545
@@ -74,6 +74,21 @@ class TestLowerBounds:
     ])
     def test_n_plus_against_high_precision(self, d, t, expect):
         assert n_plus(d, t) == expect
+
+    # 60-digit ceilings (same source) of ratios above 1e13, where the
+    # double-precision zero moves N+ by tens to hundreds of units; the
+    # README's relative error (alpha+1) 2^-53 / (1-gamma) bounds the miss
+    @pytest.mark.parametrize("d, t, expect", [
+        (7, 382, 10785450090604),
+        (8, 278, 26997426617708),
+        (8, 332, 109396315504244),
+        (8, 352, 173613992050775),
+    ])
+    def test_n_plus_within_documented_error(self, d, t, expect):
+        alpha = 0.5 * (d - 2.0)
+        gamma = jacobi_largest_zero(alpha + 1.0, alpha + 1.0, t)
+        bound = (alpha + 1.0) * 2.0 ** -53 / (1.0 - gamma) * expect + 1
+        assert abs(n_plus(d, t) - expect) <= bound
 
     def test_n_plus_on_the_circle(self):
         # the regular (t+1)-gon is a t-design, so a bound above t + 1

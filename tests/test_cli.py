@@ -60,6 +60,13 @@ class TestBounds:
         out = capsys.readouterr().out.strip().splitlines()
         assert [r.split(",")[0] for r in out[1:]] == ["1", "3", "5"]
 
+    def test_one_row_at_degree_100000(self, capsys):
+        assert main(["bounds", "--d", "2", "--t-min", "100000",
+                     "--t-max", "100000"]) == 0
+        out = capsys.readouterr().out.strip().splitlines()
+        assert out[0] == "t,N_star,N_plus,N_hat,N_bar,dim_poly"
+        assert len(out) == 2 and out[1].startswith("100000,")
+
     def test_bad_range_is_usage_error(self):
         assert main(["bounds", "--d", "2", "--t-min", "5", "--t-max", "4"]) == 2
 

@@ -97,7 +97,7 @@ class TestJacobi:
 class TestLargestZero:
     def test_matches_scipy_roots(self):
         for alpha, beta in [(0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (2.5, 1.5)]:
-            for n in (1, 2, 5, 12, 40):
+            for n in (1, 2, 5, 12, 40, 100, 400):
                 expect = roots_jacobi(n, alpha, beta)[0][-1]
                 got = jacobi_largest_zero(alpha, beta, n)
                 assert got == pytest.approx(expect, abs=1e-12)
@@ -118,12 +118,14 @@ class TestLargestZero:
         (2, 180, "0.9997771625075734726595567"),
         (5, 366, "0.9998780220675206172731831"),
         (8, 12, "0.8940452670188847651781014"),
+        (3, 12, "0.9487595481458027535020620"),
+        (2, 100000, "0.9999999992659234904257219"),
     ])
     def test_against_high_precision_zeros(self, d, t, zero):
         # the largest zero of P_t^(d/2, d/2) that bounds.n_plus uses,
-        # from the three-term recurrence and Newton steps at 60 digits;
-        # over d = 2..8 and t up to 400 the worst error was 1.05 ulp, and
-        # (8, 12) is that worst pair
+        # from the three-term recurrence and Newton steps at 60 digits
+        # (tests/reference_zeros.py); over d = 2..8 and t up to 400 the
+        # worst error is 0.88 ulp, and (3, 12) is that worst pair
         ref = float(zero)
         got = jacobi_largest_zero(d / 2, d / 2, t)
         assert abs(got - ref) <= 1.5 * np.spacing(ref)
