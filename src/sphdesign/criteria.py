@@ -12,10 +12,13 @@ sum_ell a_ell / (2 ell + 1) sum_k r_{ell,k}^2 / N^2; for psi_3 the
 weight is the constant a0, which with the Jacobian of r serves
 Levenberg-Marquardt iterations.  The pair sums over all N^2 inner
 products remain the view in every dimension and the L-BFGS-B objective.
+On S^2 the closed-form psi_2 weights are 0.0 at the top degrees from
+t = 536, psi_1's from t = 1070, below the harmonic cap of 1800, so V2
+and V1 omit those degrees there; V3 and the Weyl-sum verdict see all.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import exp, lgamma, log
 
 import numpy as np
@@ -136,8 +139,7 @@ def _zonal_weights(spec):
 
     The Legendre coefficients of psi + a0 are a_ell = Z(d, ell) b_ell,
     positive for 1 <= ell <= t; b_0 = a_0 is spec.a0 to rounding.  The
-    b_ell of psi_2 and psi_1 near ell = t fall below the smallest
-    double at high degree: on S^2 they are 0 from t = 536 and t = 1070.
+    b_ell of psi_2 and psi_1 near ell = t underflow at high degree.
     """
     t = spec.t
     if spec.kind == PSI3:
@@ -161,12 +163,10 @@ def _zonal_weights(spec):
 
 @lru_cache(maxsize=None)
 def _s2_row_weights(t):
-    """(4, (t+1)^2 - 1) read-only array: row k < 3 holds b_ell = a_ell /
-    (2 ell + 1) of KINDS[k] at degree t, per row of the Weyl sums, and
-    the last row is 1.0, the weight of r^T r."""
+    """(3, (t+1)^2 - 1) read-only array: row k holds b_ell = a_ell /
+    (2 ell + 1) of KINDS[k] at degree t, per row of the Weyl sums."""
     deg = specfun.row_degrees(t)
-    w = np.stack([_zonal_weights(make_psi(k, 2, t))[deg] for k in KINDS]
-                 + [np.ones(deg.size)])
+    w = np.stack([_zonal_weights(make_psi(k, 2, t))[deg] for k in KINDS])
     w.setflags(write=False)
     return w
 
@@ -178,13 +178,11 @@ def _s2_values(residual, N):
         V_psi = (1/N^2) sum_ell b_ell sum_k r_{ell,k}^2,
 
     one correctly rounded sum of weighted squares per psi.  The terms
-    are not negative, so neither is V, and it costs no pair sum.  The
-    same call sums r^T r and stores it as the residual's rtr.
+    are not negative, so neither is V, and it costs no pair sum.
     """
     sums = comp_sum(_s2_row_weights(residual.t) * (residual.r * residual.r),
                     axis=1)
-    residual.rtr = float(sums[-1])
-    return tuple((sums[:-1] / (N * N)).tolist())
+    return tuple((sums / (N * N)).tolist())
 
 
 def _gram(coords):
@@ -276,13 +274,14 @@ def variational_value_and_param_gradient(p, t):
     return value, chain((2.0 / (N * N)) * (w @ coords))
 
 
-@dataclass
+@dataclass(frozen=True)
 class WeylResidual:
     """Weyl sums r_{ell,k} over a point set on S^2.
 
-    r is ordered by ascending degree with the fixed in-degree order of
-    the harmonic basis.  weights is the psi_3 least-squares weight
-    a_ell / Z(2, ell), the same float a0 for every row since
+    r, read-only, is ordered by ascending degree with the fixed
+    in-degree order of the harmonic basis; rtr is r^T r, correctly
+    rounded, summed from it once.  weights is the psi_3 least-squares
+    weight a_ell / Z(2, ell), the same float a0 for every row since
     a_ell = a0 Z(2, ell).  tables are the Schmidt and trigonometric
     tables of the points the sums ran over, which weyl_jacobian reuses;
     they hold about (t+1)(t+2)/2 + 2t+1 doubles per point, and a caller
@@ -295,11 +294,11 @@ class WeylResidual:
     weights: float
     tables: specfun.HarmonicTables = field(repr=False, compare=False)
     reduced: bool = False
+    rtr: float = field(init=False)
 
-    @cached_property
-    def rtr(self):
-        """r^T r, correctly rounded; summed on first read or by _s2_values."""
-        return float(comp_sum(self.r * self.r))
+    def __post_init__(self):
+        self.r.setflags(write=False)
+        object.__setattr__(self, "rtr", float(comp_sum(self.r * self.r)))
 
 
 def _weyl_sums(t, coords, even=False):

@@ -61,6 +61,9 @@ class SolveResult:
     v1, v2, v3 are the variational values of psi1, psi2, psi3 at the
     final points (criteria.design_values): on S^2 weighted sums of
     squares of the Weyl sums that also give rtr, for d > 2 pair sums.
+    iterations sums the LM iterations of a solve and of the hops it kept
+    (a rejected hop adds none; a refine winner counts its own solve
+    alone), or counts the L-BFGS-B iterations for d > 2.
     """
     pointset: PointSet
     converged: bool
@@ -169,12 +172,9 @@ def minimize_variational(X0, t):
 
 
 def _lsq_residual(p, t):
-    X = param_to_points(p)
-    if p.symmetric:
-        res = criteria.weyl_residual_reduced(X, t)
-    else:
-        res = criteria.weyl_residual(X, t)
-    return X, res
+    residual = (criteria.weyl_residual_reduced if p.symmetric
+                else criteria.weyl_residual)
+    return residual(param_to_points(p), t)
 
 
 def solve_lsq(X0, t):
@@ -194,8 +194,7 @@ def solve_lsq(X0, t):
     if p.values.size == 0:
         return _make_result(param_to_points(p), t, 0)
     r_tol = _r_tolerance(X0.N)
-    X, res = _lsq_residual(p, t)
-    w = res.weights
+    res = _lsq_residual(p, t)
     nu = _LM_NU0
     its = 0
     rtr_hist = [res.rtr]
@@ -209,8 +208,8 @@ def solve_lsq(X0, t):
                 and res.rtr > 1e6 * r_tol):
             break
         A = criteria.weyl_jacobian(res)
-        g = A.T @ (w * res.r)
-        B = A.T @ (w * A)
+        g = A.T @ (res.weights * res.r)
+        B = A.T @ (res.weights * A)
         diag = B.diagonal().copy()
         # a singular system is rejected like a step that fails to lower
         # r^T r, so nu ends past 1e14 exactly when no trial was taken
@@ -224,9 +223,9 @@ def solve_lsq(X0, t):
                 nu *= _LM_NU_UP
                 continue
             trial = _moved(p, p.values + direction)
-            Xt, rest = _lsq_residual(trial, t)
+            rest = _lsq_residual(trial, t)
             if rest.rtr < res.rtr:
-                p, X, res = trial, Xt, rest
+                p, res = trial, rest
                 nu = max(nu * _LM_NU_DOWN, 1e-14)
                 break
             nu *= _LM_NU_UP
@@ -234,7 +233,7 @@ def solve_lsq(X0, t):
         rtr_hist.append(res.rtr)
         if nu > 1e14:
             break
-    return _make_result(X, t, its)
+    return _make_result(param_to_points(p), t, its)
 
 
 def solve_lsq_with_hops(X0, t, seed=0, hops=_MAX_HOPS):

@@ -36,7 +36,7 @@ mp.dps = 60
 
 # the pairs of test_specfun.py::TestLargestZero::test_against_high_precision_zeros
 ZERO_PAIRS = [(3, 6), (3, 15), (2, 180), (5, 366), (8, 12), (3, 12),
-              (2, 100000)]
+              (2, 100000), (4, 2), (3, 2)]
 # the pairs of test_bounds.py::TestLowerBounds::test_n_plus_against_high_precision
 # and ::test_n_plus_within_documented_error
 CEILING_PAIRS = [(5, 137), (5, 145), (7, 109), (3, 918), (4, 900),

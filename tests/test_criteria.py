@@ -1,5 +1,6 @@
 """Variational criteria and Weyl residuals against independent oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -560,16 +561,25 @@ class TestWeylResidual:
                 weighted / X.N ** 2, rel=1e-9)
 
     def test_rtr_is_summed_once(self, monkeypatch):
-        res = weyl_residual(_random_set(2, 12, 3), 6)
-        calls = []
+        # r^T r is summed from r when the residual is built (the one
+        # whole-array sum beside the row sums), and neither can change
+        X = _random_set(2, 12, 3, symmetric=True)
+        for residual in (weyl_residual, weyl_residual_reduced):
+            calls = []
 
-        def counted(values, axis=None):
-            calls.append(axis)
-            return comp_sum(values, axis)
-        monkeypatch.setattr(criteria, "comp_sum", counted)
-        first = res.rtr
-        assert res.rtr == first == float(comp_sum(res.r * res.r))
-        assert calls == [None]
+            def counted(values, axis=None):
+                calls.append(axis)
+                return comp_sum(values, axis)
+            monkeypatch.setattr(criteria, "comp_sum", counted)
+            res = residual(X, 6)
+            monkeypatch.undo()
+            assert calls[-1] is None and set(calls[:-1]) == {1}
+            assert res.rtr == float(comp_sum(res.r * res.r))
+            assert not res.r.flags.writeable
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                res.rtr = 0.0
+            with pytest.raises(ValueError):
+                res.r[0] = 1.0
 
     @pytest.mark.parametrize("symmetric", [False, True])
     def test_s2_values_are_the_weighted_identity(self, monkeypatch,
@@ -585,11 +595,12 @@ class TestWeylResidual:
             calls.append(axis)
             return comp_sum(values, axis)
         monkeypatch.setattr(criteria, "comp_sum", counted)
+        before = (res.r.copy(), res.rtr)
         got = criteria._s2_values(res, X.N)
-        rtr = res.rtr
         monkeypatch.undo()
-        # r^T r comes from the same call, with the bits of its own sum
-        assert calls == [1] and rtr == float(comp_sum(res.r * res.r))
+        # one row sum per psi, and the residual is left as it was
+        assert calls == [1]
+        assert np.array_equal(res.r, before[0]) and res.rtr == before[1]
         for v, kind in zip(got, KINDS):
             spec = make_psi(kind, 2, t)
             w = _zonal_weights(spec)[deg]
@@ -616,11 +627,9 @@ class TestWeylResidual:
     def test_s2_row_weights_are_shared_and_read_only(self):
         w = criteria._s2_row_weights(7)
         assert w is criteria._s2_row_weights(7)
-        assert w.shape == (len(KINDS) + 1, 63) and not w.flags.writeable
-        # the psi_3 row is the least-squares weight a0 itself, and the
-        # last row weighs r^T r
+        assert w.shape == (len(KINDS), 63) and not w.flags.writeable
+        # the psi_3 row is the least-squares weight a0 itself
         assert np.all(w[KINDS.index(PSI3)] == make_psi(PSI3, 2, 7).a0)
-        assert np.all(w[-1] == 1.0)
 
     def test_design_residual_vanishes(self):
         res = weyl_residual(polytopes.octahedron(), 3)
@@ -837,11 +846,11 @@ class TestBlockedWeylSums:
             assert res.tables.trig.tobytes() == ref_tables.trig.tobytes()
             # blocks of at most _PAIR_BLOCK elements (one row if a row
             # is longer) that cover every row once, in order; a table
-            # that fits is one block
+            # that fits is one block; then r^T r
             M, rows = coords.shape[0], expect.size
             step = max(1, criteria._PAIR_BLOCK // M)
             assert shapes == [(min(step, rows - i), M)
-                              for i in range(0, rows, step)]
+                              for i in range(0, rows, step)] + [(rows,)]
 
     # N = 1 and 2 in one block and in several, blocks that divide the
     # rows (t = 7, N = 7: 63 rows in blocks of 9), ragged last blocks,

@@ -105,9 +105,9 @@ class TestLsq:
         lsq_residual = optimizer._lsq_residual
 
         def recorded(p, t):
-            X, res = lsq_residual(p, t)
+            res = lsq_residual(p, t)
             formed.append(res.rtr)
-            return X, res
+            return res
 
         monkeypatch.setattr(optimizer, "_lsq_residual", recorded)
         res = solve_lsq(initial_points(2, N, kind), t)

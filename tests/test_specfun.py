@@ -112,6 +112,17 @@ class TestLargestZero:
         with pytest.raises(InvalidParameterError):
             jacobi_largest_zero(0.0, 0.0, 0)
 
+    def test_parameters_summing_to_minus_one(self):
+        # the k = 1 entry of the Jacobi matrix is 0/0 at alpha + beta = -1
+        # and takes its limit; P_n^(-1/2,-1/2) is Chebyshev's T_n
+        for n in (2, 3, 4, 5, 12, 40, 100, 400):
+            assert jacobi_largest_zero(-0.5, -0.5, n) == pytest.approx(
+                math.cos(math.pi / (2 * n)), abs=1e-15)
+            with np.errstate(invalid="ignore"):  # scipy's own 0/0 at k = 1
+                expect = roots_jacobi(n, -0.25, -0.75)[0][-1]
+            assert jacobi_largest_zero(-0.25, -0.75, n) == pytest.approx(
+                expect, abs=1e-12)
+
     @pytest.mark.parametrize("d, t, zero", [
         (3, 6, "0.8447506035184563762010594"),
         (3, 15, "0.9651905939355451198897165"),
@@ -120,12 +131,17 @@ class TestLargestZero:
         (8, 12, "0.8940452670188847651781014"),
         (3, 12, "0.9487595481458027535020620"),
         (2, 100000, "0.9999999992659234904257219"),
+        (4, 2, "0.3779644730092272272145165"),
+        (3, 2, "0.4082482904638630163662140"),
     ])
     def test_against_high_precision_zeros(self, d, t, zero):
         # the largest zero of P_t^(d/2, d/2) that bounds.n_plus uses,
         # from the three-term recurrence and Newton steps at 60 digits
         # (tests/reference_zeros.py); over d = 2..8 and t up to 400 the
-        # worst error is 0.88 ulp, and (3, 12) is that worst pair
+        # worst error is 0.88 ulp, and (3, 12) is that worst pair.
+        # Without the Newton step LAPACK's bisection is off by up to
+        # 2.53 ulp there: (4, 2), 1/sqrt(7), by 2.53 and (3, 2),
+        # 1/sqrt(6), by 1.98, against 0.47 and 0.02 with it
         ref = float(zero)
         got = jacobi_largest_zero(d / 2, d / 2, t)
         assert abs(got - ref) <= 1.5 * np.spacing(ref)
